@@ -68,10 +68,6 @@ class CausalParams:
             raise ValueError(f"ma_width must be odd and positive, got {self.ma_width}")
 
     @property
-    def n_coeffs(self) -> int:
-        return 2 * self.n_harmonics + 1
-
-    @property
     def window_len(self) -> int:
         """History length the forecasting pipeline expects (2N+1)."""
         return 2 * self.n_harmonics + 1
@@ -89,7 +85,6 @@ class CausalCoefficients:
     y: np.ndarray
     window_mean: float
     tail_mean: float
-    t_start: int = 1
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).copy()
@@ -209,7 +204,7 @@ def causal_fit(smoothed, params: CausalParams, t_start: int = 1) -> CausalCoeffi
     b = qstar(centered, params, t_start=t_start)
     gram = gram_matrix(Window(t_start, t_start + sm.size - 1), params)
     y = regularized_solve(gram, params.nu, b)
-    return CausalCoefficients(y=y, window_mean=window_mean, tail_mean=tail_mean, t_start=t_start)
+    return CausalCoefficients(y=y, window_mean=window_mean, tail_mean=tail_mean)
 
 
 def causal_forecast(

@@ -17,23 +17,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
 
-from .baselines import VARIANTS, LinearParams, linear_forecast
-from .causal import CausalParams, causal_forecast
-from .harness import METHOD_ORDER, ExperimentConfig, render_plot_csv, render_report, run_experiment
-from .ingest import MISSING_POLICIES, CsvSpec, read_csv_column, write_csv
-from .montecarlo import (
-    CSV_HEADER,
-    SimParams,
-    SweepGrid,
-    SweepTable,
-    generate_path,
-    run_sweep,
+# the forecasters stay imported here because perfbench's tracer rebinds them
+from .baselines import VARIANTS, LinearParams, linear_forecast  # noqa: F401
+from .causal import CausalParams, causal_forecast  # noqa: F401
+from .harness import (
+    METHOD_ORDER,
+    ExperimentConfig,
+    forecast,
+    render_plot_csv,
+    render_report,
+    run_experiment,
 )
-from .salsa import SalsaParams, salsa_forecast
+from .ingest import MISSING_POLICIES, CsvSpec, read_csv_column, write_csv
+from .montecarlo import SimParams, SweepGrid, SweepTable, generate_path, run_sweep
+from .salsa import SalsaParams, salsa_forecast  # noqa: F401
 
 __all__ = ["main"]
 
@@ -41,7 +43,8 @@ _SALSA = SalsaParams()
 _CAUSAL = CausalParams()
 _LINEAR = LinearParams()
 
-FORMATS = ("text", "csv", "json")
+# report format -> file extension
+FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,6 +113,24 @@ def _add_method_options(sub):
     )
 
 
+def _add_ar_options(sub):
+    sub.add_argument("--a-low", type=float, default=0.0, help="AR coefficient lower bound")
+    sub.add_argument("--a-high", type=float, default=1.0, help="AR coefficient upper bound")
+    sub.add_argument("--noise-std", type=float, default=1.0, help="noise standard deviation")
+    sub.add_argument("--offset", type=float, default=80.0, help="level shift added to paths")
+
+
+def _sim_params(args, length: int, seed: int) -> SimParams:
+    return SimParams(
+        length=length,
+        a_low=args.a_low,
+        a_high=args.a_high,
+        noise_std=args.noise_std,
+        offset=args.offset,
+        seed=seed,
+    )
+
+
 def _read_series(args):
     column = int(args.column) if str(args.column).lstrip("-").isdigit() else args.column
     spec = CsvSpec(
@@ -146,17 +167,13 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if args.window < 1:
+        raise ValueError(f"window must be >= 1, got {args.window}")
     series = _read_series(args)
     params = _method_params(args)[args.method]
     if len(series) < args.window:
         raise ValueError(f"series has {len(series)} samples, need window {args.window}")
-    history = series.values[-args.window :]
-    if args.method == "salsa":
-        values = salsa_forecast(history, args.horizon, params)
-    elif args.method == "causal":
-        values = causal_forecast(history, args.horizon, params)
-    else:
-        values = linear_forecast(history, args.horizon, params)
+    values = forecast(args.method, series.values[-args.window :], args.horizon, params)
 
     out = _out_dir(args)
     meta = {
@@ -166,42 +183,45 @@ def cmd_forecast(args) -> int:
         "params": dataclasses.asdict(params),
     }
     if args.format == "json":
-        payload = dict(meta, forecast=[float(v) for v in values])
-        (out / "forecast.json").write_text(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        lines = ["step,value"] + [f"{j + 1},{float(v)!r}" for j, v in enumerate(values)]
-        (out / "forecast.csv").write_text("\n".join(lines) + "\n")
-        (out / "forecast_params.json").write_text(json.dumps(meta, indent=2) + "\n")
+        text = json.dumps(dict(meta, forecast=[float(v) for v in values]), indent=2) + "\n"
     else:
-        lines = [f"{float(v)!r}" for v in values]
-        (out / "forecast.txt").write_text("\n".join(lines) + "\n")
+        lines = [repr(float(v)) for v in values]
+        if args.format == "csv":
+            lines = ["step,value"] + [f"{j + 1},{v}" for j, v in enumerate(lines)]
+        text = "\n".join(lines) + "\n"
         (out / "forecast_params.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / f"forecast.{FORMATS[args.format]}").write_text(text)
     return 0
 
 
 def cmd_experiment(args) -> int:
     series = _read_series(args)
-    params = _method_params(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     config = ExperimentConfig(
         horizon=args.horizon,
         window_len=args.window,
         stride=args.stride,
         methods=methods,
-        salsa=params["salsa"],
-        causal=params["causal"],
-        linear=params["linear"],
         lookahead_smoothing=args.lookahead_smoothing,
+        **_method_params(args),
     )
     result = run_experiment(series, config)
     out = _out_dir(args)
-    ext = {"text": "txt", "csv": "csv", "json": "json"}[args.format]
-    (out / f"report.{ext}").write_text(render_report(result, args.format))
+    (out / f"report.{FORMATS[args.format]}").write_text(render_report(result, args.format))
     (out / "plot_data.csv").write_text(render_plot_csv(result))
     return 0
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path's contents so an interrupted write leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def cmd_sweep(args) -> int:
+    if args.resume and args.seed is None:
+        raise ValueError("--resume needs the --seed of the run it continues")
     seed = _resolve_seed(args)
     grid = SweepGrid(
         mu_values=_parse_grid_values(args.mu_values),
@@ -211,51 +231,32 @@ def cmd_sweep(args) -> int:
         horizon=args.horizon,
         window=args.window,
     )
-    sim = SimParams(
-        length=grid.window + grid.horizon,
-        a_low=args.a_low,
-        a_high=args.a_high,
-        noise_std=args.noise_std,
-        offset=args.offset,
-        seed=seed,
-    )
+    sim = _sim_params(args, grid.window + grid.horizon, seed)
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
 
-    completed = {}
+    done = []
     if args.resume and csv_path.exists():
-        prior = SweepTable.from_csv(csv_path.read_text())
-        completed = {row.key: row for row in prior.rows}
-        print(f"resuming: {len(completed)} cells already done", file=sys.stderr)
+        done = SweepTable.from_csv(csv_path.read_text()).rows
+        print(f"resuming: {len(done)} cells already done", file=sys.stderr)
+    completed = {row.key: row for row in done}
+    _write_atomic(csv_path, SweepTable(done).to_csv())
 
-    # append fresh rows as they finish, so an interrupted run can resume
-    if not (args.resume and csv_path.exists()):
-        csv_path.write_text(",".join(CSV_HEADER) + "\n")
-
+    # save the rows so far as each one finishes, so an interrupted run can resume
     def persist(row):
-        mean = "" if row.mean_residual_per_point is None else repr(row.mean_residual_per_point)
-        with open(csv_path, "a") as fh:
-            fh.write(f"{row.mu!r},{row.lam!r},{row.n_basis},{mean},{row.trials_run}\n")
+        done.append(row)
+        _write_atomic(csv_path, SweepTable(done).to_csv())
 
     table = run_sweep(grid, sim, threads=args.threads, completed=completed, on_row=persist)
     # canonical grid-order rewrite (identical bytes for any worker count)
-    csv_path.write_text(table.to_csv())
+    _write_atomic(csv_path, table.to_csv())
     if args.format == "json":
         (out / "sweep.json").write_text(table.to_json())
     return 0
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
-    sim = SimParams(
-        length=args.length,
-        a_low=args.a_low,
-        a_high=args.a_high,
-        noise_std=args.noise_std,
-        offset=args.offset,
-        seed=seed,
-    )
-    series = generate_path(sim)
+    series = generate_path(_sim_params(args, args.length, _resolve_seed(args)))
     out = _out_dir(args)
     write_csv(series, out / "series.csv")
     return 0
@@ -306,10 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--trials", type=int, default=1000, help="paths per grid cell")
     sw.add_argument("--horizon", type=int, default=7, help="forecast length per trial")
     sw.add_argument("--window", type=int, default=91, help="history length per trial")
-    sw.add_argument("--a-low", type=float, default=0.0, help="AR coefficient lower bound")
-    sw.add_argument("--a-high", type=float, default=1.0, help="AR coefficient upper bound")
-    sw.add_argument("--noise-std", type=float, default=1.0, help="noise standard deviation")
-    sw.add_argument("--offset", type=float, default=80.0, help="level shift added to paths")
+    _add_ar_options(sw)
     sw.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
     sw.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
     sw.add_argument("--resume", action="store_true", help="continue a partial sweep.csv")
@@ -321,10 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io_options(sim, with_input=False)
     sim.add_argument("--length", type=int, required=True, help="number of samples")
-    sim.add_argument("--a-low", type=float, default=0.0, help="AR coefficient lower bound")
-    sim.add_argument("--a-high", type=float, default=1.0, help="AR coefficient upper bound")
-    sim.add_argument("--noise-std", type=float, default=1.0, help="noise standard deviation")
-    sim.add_argument("--offset", type=float, default=80.0, help="level shift added to the path")
+    _add_ar_options(sim)
     sim.add_argument("--seed", type=int, default=None, help="RNG seed (printed if omitted)")
     sim.set_defaults(func=cmd_simulate)
 

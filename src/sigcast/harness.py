@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +32,34 @@ __all__ = [
     "METHOD_ORDER",
     "ExperimentConfig",
     "ExperimentResult",
+    "forecast",
     "run_experiment",
     "render_report",
     "render_plot_csv",
 ]
 
-# column order of the comparison tables: raw data first, then these
-METHOD_ORDER = ("causal", "salsa", "linear")
-
+# column titles of the comparison tables, in column order after the raw data
 _DISPLAY = {"causal": "Causal Forecast", "salsa": "Salsa Forecast", "linear": "Linear Forecast"}
+METHOD_ORDER = tuple(_DISPLAY)
+
+
+def forecast(method: str, history, horizon: int, params, presmoothed=None) -> np.ndarray:
+    """Forecast `horizon` samples past `history` with the named method.
+
+    `params` is the method's parameter object (SalsaParams, CausalParams or
+    LinearParams). `presmoothed` is passed to the causal method only; see
+    :func:`causal_forecast`. This is the one place that dispatches on a
+    method name. The forecasters are looked up as module globals on every
+    call, so rebinding them here (perfbench's tracer does) takes effect.
+    """
+    if method == "salsa":
+        # the iterates do not depend on the cost trace, so skip it for speed
+        return salsa_forecast(history, horizon, params, track_cost=False)
+    if method == "causal":
+        return causal_forecast(history, horizon, params, presmoothed=presmoothed)
+    if method == "linear":
+        return linear_forecast(history, horizon, params)
+    raise ValueError(f"unknown method: {method!r}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +113,8 @@ class ExperimentResult:
     track_stats: dict[str, SummaryStats | None]
     truth_stats: SummaryStats
     wall_time: dict[str, float]
-    failures: dict[str, list[int]] = field(default_factory=dict)
-    smoothed_series: np.ndarray | None = None
-
-
-def _forecast_one(method: str, config: ExperimentConfig, hist, horizon, presmoothed):
-    if method == "salsa":
-        return salsa_forecast(hist, horizon, config.salsa, track_cost=False)
-    if method == "causal":
-        return causal_forecast(hist, horizon, config.causal, presmoothed=presmoothed)
-    return linear_forecast(hist, horizon, config.linear)
+    failures: dict[str, list[int]]
+    smoothed_series: np.ndarray
 
 
 def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentResult:
@@ -135,7 +146,7 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
         for method in config.methods:
             t0 = time.perf_counter()
             try:
-                fc = _forecast_one(method, config, hist, horizon, presmoothed)
+                fc = forecast(method, hist, horizon, getattr(config, method), presmoothed)
                 tracks[method][w_idx * horizon : (w_idx + 1) * horizon] = fc
             except Exception:  # noqa: BLE001 - window skipped for that method
                 failures[method].append(w_idx)
@@ -270,8 +281,7 @@ def render_plot_csv(result: ExperimentResult) -> str:
     writer.writerow(["index", "raw", "smoothed"] + list(methods))
     smoothed = result.smoothed_series
     for i, idx in enumerate(result.target_indices):
-        row = [int(idx), repr(float(result.truth_track[i]))]
-        row.append("" if smoothed is None else repr(float(smoothed[idx])))
+        row = [int(idx), repr(float(result.truth_track[i])), repr(float(smoothed[idx]))]
         for m in methods:
             v = result.tracks[m][i]
             row.append("" if np.isnan(v) else repr(float(v)))

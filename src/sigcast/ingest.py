@@ -112,4 +112,4 @@ def write_csv(series: TimeSeries, path: str | Path, value_header: str = "value")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", value_header])
         for i, v in enumerate(series.values):
-            writer.writerow([series.origin_index + i, repr(float(v))])
+            writer.writerow([i, repr(float(v))])

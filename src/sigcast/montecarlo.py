@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,6 +164,7 @@ class SweepTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepTable":
+        """Parse what :meth:`to_csv` wrote; a malformed row raises ValueError."""
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != CSV_HEADER:
@@ -171,18 +173,21 @@ class SweepTable:
         for rec in reader:
             if not rec:
                 continue
-            mean = float(rec[3]) if rec[3] != "" else None
-            err = None if mean is not None else "failure recorded in table"
-            rows.append(
-                SweepRow(
-                    mu=float(rec[0]),
-                    lam=float(rec[1]),
-                    n_basis=int(rec[2]),
-                    mean_residual_per_point=mean,
-                    trials_run=int(rec[4]),
-                    error=err,
+            try:
+                mu, lam, n_basis, mean, trials_run = rec
+                row = SweepRow(
+                    mu=float(mu),
+                    lam=float(lam),
+                    n_basis=int(n_basis),
+                    mean_residual_per_point=float(mean) if mean != "" else None,
+                    trials_run=int(trials_run),
+                    error=None if mean != "" else "failure recorded in table",
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(
+                    f"malformed sweep table row at line {reader.line_num}: {','.join(rec)!r}"
+                ) from exc
+            rows.append(row)
         return cls(rows=rows)
 
 
@@ -230,15 +235,9 @@ def run_sweep(
             jobs.append((mu, lam, nb, idx, grid, sim))
 
     fresh: dict[tuple, SweepRow] = {}
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for row in pool.map(_run_cell, jobs):
-                fresh[row.key] = row
-                if on_row is not None:
-                    on_row(row)
-    else:
-        for job in jobs:
-            row = _run_cell(job)
+    parallel = threads > 1 and len(jobs) > 1
+    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+        for row in (pool.map if parallel else map)(_run_cell, jobs):
             fresh[row.key] = row
             if on_row is not None:
                 on_row(row)

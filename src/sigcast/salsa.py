@@ -101,10 +101,9 @@ class ObservationMask:
 
 @dataclass(frozen=True)
 class SalsaState:
-    """Final (c, d) iterate pair and the per-iteration cost trace."""
+    """Final coefficient iterate c and the per-iteration cost trace."""
 
     c: np.ndarray
-    d: np.ndarray
     cost_history: np.ndarray
 
 
@@ -145,7 +144,7 @@ def soft_threshold(x, threshold: float):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     mag = np.abs(arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = np.maximum(1.0 - threshold / mag, 0.0)
     scale[mag == 0.0] = 0.0  # |x| -> 0 limit of the formula
     out = scale * arr
@@ -211,7 +210,7 @@ def salsa_solve(
             ):
                 break
 
-    return SalsaState(c=c, d=d, cost_history=cost[:n_done] if track_cost else cost)
+    return SalsaState(c=c, cost_history=cost[:n_done] if track_cost else cost)
 
 
 def salsa_forecast(

@@ -26,14 +26,10 @@ __all__ = [
 class TimeSeries:
     """Uniformly sampled real-valued sequence.
 
-    values       : finite samples, stored as a read-only float64 array
-    origin_index : integer time index of the first sample
-    step         : sampling interval (1.0 for daily data, 0.1 s for signals)
+    values : finite samples, stored as a read-only float64 array
     """
 
     values: np.ndarray
-    origin_index: int = 0
-    step: float = 1.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -43,8 +39,6 @@ class TimeSeries:
             raise ValueError("empty input")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite (no NaN/inf)")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -279,20 +279,19 @@ class TestCausalForecast:
             assert rel == pytest.approx(factor, rel=0.01)
 
     def test_in_band_sinusoid_forecast_tracks_level(self):
-        """Two-step error against the analytic continuation, pinned.
+        """Adding a level c to the history adds exactly c to the forecast.
 
-        The tail-mean re-centering keeps the forecast at the recent local
-        level, which costs ~0.3 amplitude units against sin's continuation
-        at this phase; scaled by the window signal norm the error stays
-        below 10%.
+        Centring at the window mean and re-centring at the tail mean make
+        the two-step forecast of sin(0.1 t), t = 1..91, follow the level up
+        to rounding (measured at most 1.4e-12 at c = 1000). Its error against
+        the analytic continuation is pinned by acceptance criterion 5c.
         """
         t = np.arange(1, 92, dtype=float)
         hist = np.sin(0.1 * t)
-        truth = np.sin(0.1 * np.array([92.0, 93.0]))
-        fc = causal_forecast(hist, 2)
-        scaled = np.linalg.norm(fc - truth) / np.linalg.norm(hist)
-        assert scaled < 0.10  # frozen: 0.0678
-        assert np.max(np.abs(fc - truth)) < 0.45  # frozen: 0.3586
+        base = causal_forecast(hist, 2)
+        for c in (-3.5, 80.0, 1000.0):
+            shift = causal_forecast(hist + c, 2) - base
+            assert np.max(np.abs(shift - c)) <= 1e-12 * (1 + abs(c))
 
     def test_presmoothed_window_skips_internal_smoothing(self):
         rng = np.random.default_rng(8)

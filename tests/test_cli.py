@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from sigcast.baselines import linear_forecast
+from sigcast.causal import causal_forecast
 from sigcast.cli import main
 from sigcast.ingest import CsvSpec, read_csv_column, write_csv
 from sigcast.montecarlo import SimParams, generate_path
-from sigcast.salsa import SalsaParams, salsa_forecast, synthesize
+from sigcast.salsa import salsa_forecast, synthesize
 
 
 def run(*argv):
@@ -61,7 +63,13 @@ class TestForecast:
         assert run("forecast", "--input", str(tmp_path / "nope.csv"),
                    "--method", "linear", "--output-dir", str(tmp_path)) == 2
 
-    def test_salsa_cli_matches_library_exactly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "method, library",
+        [("salsa", salsa_forecast), ("causal", causal_forecast), ("linear", linear_forecast)],
+        ids=["salsa", "causal", "linear"],
+    )
+    def test_cli_matches_library_exactly(self, tmp_path, method, library):
+        # 91 = 2N+1 samples, the window the default causal method needs
         n = 200
         c = np.zeros(n, dtype=complex)
         c[8] = 0.5
@@ -71,13 +79,12 @@ class TestForecast:
         write_series_csv(src, tone[:91])
         out = tmp_path / "out"
         code = run("forecast", "--input", str(src), "--column", "value",
-                   "--method", "salsa", "--window", "91", "--horizon", "10",
+                   "--method", method, "--window", "91", "--horizon", "10",
                    "--format", "csv", "--output-dir", str(out))
         assert code == 0
         rows = list(csv.reader((out / "forecast.csv").open()))
         got = np.array([float(r[1]) for r in rows[1:]])
-        want = salsa_forecast(tone[:91], 10, SalsaParams())
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, library(tone[:91], 10))
 
     def test_window_longer_than_series_is_validation_error(self, tmp_path):
         src = tmp_path / "short.csv"
@@ -85,6 +92,16 @@ class TestForecast:
         assert run("forecast", "--input", str(src), "--column", "value",
                    "--method", "linear", "--window", "50",
                    "--output-dir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_nonpositive_window_is_validation_error(self, tmp_path, window):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, np.arange(30.0))
+        out = tmp_path / "out"
+        assert run("forecast", "--input", str(src), "--column", "value",
+                   "--method", "linear", "--window", window,
+                   "--output-dir", str(out)) == 1
+        assert not (out / "forecast.txt").exists()
 
 
 class TestExperiment:
@@ -173,6 +190,46 @@ class TestSweep:
         (resume_dir / "sweep.csv").write_text(partial)
         assert run("sweep", *args, "--resume", "--output-dir", str(resume_dir)) == 0
         assert (resume_dir / "sweep.csv").read_text() == full
+
+    def test_rows_saved_as_each_cell_finishes(self, tmp_path, monkeypatch):
+        import sigcast.cli
+
+        out = tmp_path / "out"
+        saved = []
+        real_run_sweep = sigcast.cli.run_sweep
+
+        def spy(*args, on_row, **kwargs):
+            def record(row):
+                on_row(row)
+                saved.append((out / "sweep.csv").read_text())
+            return real_run_sweep(*args, on_row=record, **kwargs)
+
+        monkeypatch.setattr(sigcast.cli, "run_sweep", spy)
+        assert run("sweep", "--mu-values", "0.4,0.8", "--trials", "1", "--window", "40",
+                   "--horizon", "2", "--seed", "9", "--output-dir", str(out)) == 0
+        lines = (out / "sweep.csv").read_text().splitlines(keepends=True)
+        assert saved == ["".join(lines[:2]), "".join(lines)]
+
+    def test_resume_truncated_row_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        header = "mu,lambda,n_basis,mean_residual_per_point,trials_run\n"
+        (out / "sweep.csv").write_text(header + "0.5,1.0,20")
+        assert run("sweep", "--mu-values", "0.5", "--trials", "1", "--window", "10",
+                   "--horizon", "2", "--seed", "9", "--resume",
+                   "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "Traceback" not in err
+
+    def test_resume_without_seed_is_validation_error(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--mu-values", "0.6", "--trials", "1", "--window", "40",
+                "--horizon", "2", "--output-dir", str(out)]
+        assert run("sweep", *args, "--seed", "9") == 0
+        before = (out / "sweep.csv").read_text()
+        assert run("sweep", *args, "--resume") == 1
+        assert (out / "sweep.csv").read_text() == before
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"

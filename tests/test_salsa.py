@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,13 @@ class TestSoftThreshold:
         # |soft(x, T)| + min(|x|, T) == |x|
         lhs = abs(soft_threshold(x, thr)) + min(abs(x), thr)
         assert lhs == pytest.approx(abs(x), abs=1e-12, rel=1e-12)
+
+    def test_subnormal_magnitude_is_silent(self):
+        # threshold / 5e-324 overflows; the scale still clamps to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = soft_threshold(np.array([5e-324 + 0j, 2.0]), 1.0)
+        assert np.array_equal(out, [0.0, 1.0])
 
 
 class TestSalsaSolve:

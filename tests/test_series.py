@@ -23,10 +23,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(values=np.array([]))
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            TimeSeries(values=np.array([1.0]), step=0.0)
-
     def test_values_read_only(self):
         ts = TimeSeries(values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
