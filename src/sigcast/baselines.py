@@ -32,21 +32,29 @@ class LinearParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
+    @property
+    def min_history(self) -> int:
+        """Shortest history the variant can extrapolate from."""
+        return self.lookback + 1 if self.variant == "two_point_span" else 2
+
 
 def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()) -> np.ndarray:
+    """Forecast `horizon` samples past a history of shape (K,) or (B, K).
+
+    Each row is extrapolated on its own; a stack gives a (B, horizon) result.
+    """
     hist = np.asarray(history, dtype=float)
-    if hist.ndim != 1:
-        raise ValueError("history must be 1-D")
+    if hist.ndim not in (1, 2):
+        raise ValueError("history must have shape (K,) or (B, K)")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if hist.shape[-1] < params.min_history:
+        raise ValueError(
+            f"{params.variant} needs at least {params.min_history} samples, "
+            f"have {hist.shape[-1]}"
+        )
     if params.variant == "two_point_span":
-        if hist.size <= params.lookback:
-            raise ValueError(
-                f"need more than lookback={params.lookback} samples, have {hist.size}"
-            )
-        slope = (hist[-1] - hist[-1 - params.lookback]) / params.lookback
+        slope = (hist[..., -1] - hist[..., -1 - params.lookback]) / params.lookback
     else:
-        if hist.size < 2:
-            raise ValueError("code_slope needs at least 2 samples")
-        slope = (hist[-1] - hist[-2]) / horizon
-    return hist[-1] + slope * np.arange(1, horizon + 1, dtype=float)
+        slope = (hist[..., -1] - hist[..., -2]) / horizon
+    return hist[..., -1:] + np.multiply.outer(slope, np.arange(1, horizon + 1, dtype=float))

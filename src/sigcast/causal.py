@@ -166,14 +166,11 @@ def regularized_solve(gram, nu: float, b) -> np.ndarray:
         raise ValueError("non-finite entries in linear system")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    y = np.linalg.solve(gram + nu * np.eye(gram.shape[0]), b)
-    norm_b = np.linalg.norm(b)
-    if norm_b > 0:
-        resid = np.linalg.norm((gram + nu * np.eye(gram.shape[0])) @ y - b)
-        if resid >= 1e-8 * norm_b:
-            raise ArithmeticError(
-                f"regularized solve residual {resid:.3e} exceeds 1e-8 * ||b||"
-            )
+    system = gram + nu * np.eye(gram.shape[0])
+    y = np.linalg.solve(system, b)
+    resid = np.linalg.norm(system @ y - b)
+    if resid > 0 and resid >= 1e-8 * np.linalg.norm(b):
+        raise ArithmeticError(f"regularized solve residual {resid:.3e} exceeds 1e-8 * ||b||")
     return y
 
 
@@ -183,8 +180,7 @@ def synthesize_causal(coeffs: CausalCoefficients, t_range, params: CausalParams)
     No mean re-centering is applied; callers add window_mean (in-window) or
     tail_mean (forecasts) as the pipeline requires.
     """
-    t = np.asarray(list(t_range) if isinstance(t_range, range) else t_range, dtype=float)
-    t = np.atleast_1d(t)
+    t = np.atleast_1d(np.asarray(t_range, dtype=float))
     s_mat = _sinc_design(t, params.n_harmonics, params.omega)
     return (params.omega / np.pi) * (s_mat @ coeffs.y)
 

@@ -231,7 +231,12 @@ def cmd_sweep(args) -> int:
         horizon=args.horizon,
         window=args.window,
     )
-    sim = _sim_params(args, grid.window + grid.horizon, seed)
+    m_len = grid.window + grid.horizon
+    for mu, lam, n_basis in grid.cells():  # reject a cell that can only fail, before writing
+        SalsaParams(mu=mu, lam=lam, n_basis=n_basis)
+        if n_basis < m_len:
+            raise ValueError(f"n_basis {n_basis} is below window + horizon = {m_len}")
+    sim = _sim_params(args, m_len, seed)
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
 

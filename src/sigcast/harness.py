@@ -44,19 +44,26 @@ METHOD_ORDER = tuple(_DISPLAY)
 
 
 def forecast(method: str, history, horizon: int, params, presmoothed=None) -> np.ndarray:
-    """Forecast `horizon` samples past `history` with the named method.
+    """Forecast `horizon` samples past a history of shape (K,) or (B, K).
 
-    `params` is the method's parameter object (SalsaParams, CausalParams or
-    LinearParams). `presmoothed` is passed to the causal method only; see
-    :func:`causal_forecast`. This is the one place that dispatches on a
-    method name. The forecasters are looked up as module globals on every
-    call, so rebinding them here (perfbench's tracer does) takes effect.
+    Row i of a (B, horizon) result equals the call on row i alone. `params`
+    is the method's parameter object; `presmoothed`, shaped like `history`,
+    goes to the causal method only (see :func:`causal_forecast`), which is
+    mapped over the rows because batching its matrix products, means and
+    solve changes the last bits. This is the one place that dispatches on a
+    method name; the forecasters are module globals looked up on every call,
+    so rebinding them here (perfbench's tracer does) takes effect.
     """
     if method == "salsa":
-        # the iterates do not depend on the cost trace, so skip it for speed
-        return salsa_forecast(history, horizon, params, track_cost=False)
+        return salsa_forecast(history, horizon, params)
     if method == "causal":
-        return causal_forecast(history, horizon, params, presmoothed=presmoothed)
+        rows = np.atleast_2d(np.asarray(history, dtype=float))
+        smooth = [None] * len(rows) if presmoothed is None else np.atleast_2d(presmoothed)
+        out = np.array([
+            causal_forecast(hist, horizon, params, presmoothed=sm)
+            for hist, sm in zip(rows, smooth, strict=True)
+        ])
+        return out if np.ndim(history) > 1 else out[0]
     if method == "linear":
         return linear_forecast(history, horizon, params)
     raise ValueError(f"unknown method: {method!r}")
@@ -100,6 +107,18 @@ class ExperimentConfig:
         object.__setattr__(
             self, "methods", tuple(m for m in METHOD_ORDER if m in methods)
         )
+        # each enabled method's length precondition, so no run fails on every window
+        window, horizon = self.window_len, self.horizon
+        for method, ok, need in (
+            ("causal", window == self.causal.window_len,
+             f"a window of 2*n_harmonics+1 = {self.causal.window_len}"),
+            ("salsa", window + horizon <= self.salsa.n_basis,
+             f"window + horizon <= n_basis = {self.salsa.n_basis}"),
+            ("linear", window >= self.linear.min_history,
+             f"a window of at least {self.linear.min_history}"),
+        ):
+            if method in self.methods and not ok:
+                raise ValueError(f"{method} needs {need}; got window {window}, horizon {horizon}")
 
 
 @dataclass
@@ -120,53 +139,42 @@ class ExperimentResult:
 def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentResult:
     """Run every enabled method over all rolling windows of the series.
 
-    A method failing on a window is recorded in result.failures and that
-    window's slots in its track are NaN; residuals and track statistics are
-    computed over the successful windows only.
+    The windows are stacked and each method forecasts the whole stack in one
+    call. A method whose call fails with a ValueError or ArithmeticError has
+    every window recorded in result.failures and its track is all NaN; its
+    residuals and track statistics are None. Any other exception propagates.
     """
     windows = rolling_windows(series, config.window_len, config.horizon, config.stride)
     n_win = len(windows)
     horizon = config.horizon
+    starts = np.array([win.q for win, _ in windows])
+    history_idx = starts[:, None] + np.arange(config.window_len)
+    target_idx = starts[:, None] + config.window_len + np.arange(horizon)
 
     # presentation curve, and the smoothed source for lookahead mode
     full_smoothed = moving_average(series.values, config.causal.ma_width)
+    histories = series.values[history_idx]
+    presmoothed = full_smoothed[history_idx] if config.lookahead_smoothing else None
+    truth_track = series.values[target_idx].reshape(-1)
 
-    target_indices = np.concatenate(
-        [np.arange(win.s + 1, win.s + 1 + horizon) for win, _ in windows]
-    )
-    truth_track = np.concatenate([truth for _, truth in windows])
-
-    tracks = {m: np.full(n_win * horizon, np.nan) for m in config.methods}
-    failures: dict[str, list[int]] = {m: [] for m in config.methods}
-    wall = {m: 0.0 for m in config.methods}
-
-    for w_idx, (win, _) in enumerate(windows):
-        hist = series.values[win.q : win.s + 1]
-        presmoothed = full_smoothed[win.q : win.s + 1] if config.lookahead_smoothing else None
-        for method in config.methods:
-            t0 = time.perf_counter()
-            try:
-                fc = forecast(method, hist, horizon, getattr(config, method), presmoothed)
-                tracks[method][w_idx * horizon : (w_idx + 1) * horizon] = fc
-            except Exception:  # noqa: BLE001 - window skipped for that method
-                failures[method].append(w_idx)
-            wall[method] += time.perf_counter() - t0
-
-    residuals: dict[str, ResidualReport | None] = {}
-    track_stats: dict[str, SummaryStats | None] = {}
+    tracks, failures, wall, residuals, track_stats = {}, {}, {}, {}, {}
     for method in config.methods:
-        ok = ~np.isnan(tracks[method])
-        if ok.any():
-            residuals[method] = l2_residual(tracks[method][ok], truth_track[ok])
-            track_stats[method] = summary_stats(tracks[method][ok])
-        else:
-            residuals[method] = None
-            track_stats[method] = None
+        t0 = time.perf_counter()
+        try:
+            fc = forecast(method, histories, horizon, getattr(config, method), presmoothed)
+            track, failures[method] = fc.reshape(n_win * horizon), []
+        except (ValueError, ArithmeticError):
+            track, failures[method] = np.full(n_win * horizon, np.nan), list(range(n_win))
+        wall[method] = time.perf_counter() - t0
+        ok = ~np.isnan(track)
+        residuals[method] = l2_residual(track[ok], truth_track[ok]) if ok.any() else None
+        track_stats[method] = summary_stats(track[ok]) if ok.any() else None
+        tracks[method] = track
 
     return ExperimentResult(
         config=config,
         n_windows=n_win,
-        target_indices=target_indices,
+        target_indices=target_idx.reshape(-1),
         truth_track=truth_track,
         tracks=tracks,
         residuals=residuals,
@@ -181,8 +189,6 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
 def _table_cells(result: ExperimentResult) -> tuple[list[str], list[list]]:
     """Header and rows of the comparison table, raw data column first."""
     methods = result.config.methods
-    if not methods:
-        raise ValueError("no methods")
     header = ["Data Type", "Raw Data"] + [_DISPLAY[m] for m in methods]
 
     def stat_row(label, attr):

@@ -68,7 +68,6 @@ def read_csv_column(spec: CsvSpec) -> TimeSeries:
     with open(spec.path, newline="") as fh:
         rows = list(csv.reader(fh))
 
-    col_idx: int
     if isinstance(spec.column, str):
         if not rows:
             raise ValueError("empty file, cannot resolve header")

@@ -73,8 +73,7 @@ def generate_path(params: SimParams, rng_seed=None) -> TimeSeries:
     with the offset added to every sample. `rng_seed` overrides params.seed
     (the sweep passes derived per-trial seeds here).
     """
-    seed = params.seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed if rng_seed is None else rng_seed)
     gamma = rng.normal(0.0, params.noise_std, params.length)
     coeff = rng.uniform(params.a_low, params.a_high, params.length)
     z = np.empty(params.length)
@@ -192,25 +191,19 @@ class SweepTable:
 
 
 def _run_cell(args) -> SweepRow:
+    """One grid cell in one stacked SALSA call; ValueError/ArithmeticError fail the row."""
     mu, lam, n_basis, cell_index, grid, sim = args
-    total = 0.0
-    done = 0
     try:
         params = SalsaParams(mu=mu, lam=lam, n_basis=n_basis)
         path_params = replace(sim, length=grid.window + grid.horizon)
-        for trial in range(grid.trials):
-            seed = np.random.SeedSequence((sim.seed, cell_index, trial))
-            path = generate_path(path_params, rng_seed=seed)
-            hist = path.values[: grid.window]
-            truth = path.values[grid.window :]
-            # iterates do not depend on the cost trace, so skip it for speed
-            fc = salsa_forecast(hist, grid.horizon, params, track_cost=False)
-            total += float(np.sum((fc - truth) ** 2))
-            done += 1
-    except Exception as exc:  # noqa: BLE001 - cell failures recorded, not fatal
-        return SweepRow(mu, lam, n_basis, None, done, error=str(exc))
-    mean = total / (grid.trials * grid.horizon)
-    return SweepRow(mu, lam, n_basis, mean, done)
+        seeds = (np.random.SeedSequence((sim.seed, cell_index, t)) for t in range(grid.trials))
+        paths = np.array([generate_path(path_params, rng_seed=seed).values for seed in seeds])
+        fc = salsa_forecast(paths[:, : grid.window], grid.horizon, params)
+    except (ValueError, ArithmeticError) as exc:
+        return SweepRow(mu, lam, n_basis, None, 0, error=str(exc))
+    # cumsum adds the per-trial errors one after another in trial order
+    total = np.cumsum(np.sum((fc - paths[:, grid.window :]) ** 2, axis=1))[-1]
+    return SweepRow(mu, lam, n_basis, float(total) / (grid.trials * grid.horizon), grid.trials)
 
 
 def run_sweep(
@@ -229,10 +222,7 @@ def run_sweep(
     """
     completed = completed or {}
     cells = grid.cells()
-    jobs = []
-    for idx, (mu, lam, nb) in enumerate(cells):
-        if (mu, lam, nb) not in completed:
-            jobs.append((mu, lam, nb, idx, grid, sim))
+    jobs = [(*cell, idx, grid, sim) for idx, cell in enumerate(cells) if cell not in completed]
 
     fresh: dict[tuple, SweepRow] = {}
     parallel = threads > 1 and len(jobs) > 1
@@ -242,8 +232,4 @@ def run_sweep(
             if on_row is not None:
                 on_row(row)
 
-    rows = []
-    for mu, lam, nb in cells:
-        key = (mu, lam, nb)
-        rows.append(completed[key] if key in completed else fresh[key])
-    return SweepTable(rows=rows)
+    return SweepTable(rows=[completed[key] if key in completed else fresh[key] for key in cells])

@@ -110,25 +110,26 @@ class SalsaState:
 def synthesize(c, out_len: int) -> np.ndarray:
     """First `out_len` samples of the unnormalized inverse DFT of c.
 
-    (A c)(m) = sum_{n=0}^{N-1} c(n) exp(+2j*pi*m*n/N) for m = 0..out_len-1.
-    Requires out_len <= len(c).
+    (A c)(m) = sum_{n=0}^{N-1} c(n) exp(+2j*pi*m*n/N) for m = 0..out_len-1,
+    along the last axis, so a stack of coefficient rows gives a stack of
+    signals. Requires out_len <= c.shape[-1].
     """
     c = np.asarray(c, dtype=complex)
-    n_basis = c.size
+    n_basis = c.shape[-1]
     if not 1 <= out_len <= n_basis:
         raise ValueError(f"out_len must lie in [1, {n_basis}], got {out_len}")
-    return n_basis * np.fft.ifft(c)[:out_len]
+    return n_basis * np.fft.ifft(c)[..., :out_len]
 
 
 def adjoint(y, n_basis: int) -> np.ndarray:
     """Adjoint of :func:`synthesize`: forward DFT of y zero-padded to n_basis.
 
-    (A^H y)(n) = sum_{m=0}^{M-1} y(m) exp(-2j*pi*m*n/N).
-    Requires len(y) <= n_basis.
+    (A^H y)(n) = sum_{m=0}^{M-1} y(m) exp(-2j*pi*m*n/N), along the last axis.
+    Requires y.shape[-1] <= n_basis.
     """
     y = np.asarray(y, dtype=complex)
-    if not 1 <= y.size <= n_basis:
-        raise ValueError(f"signal length must lie in [1, {n_basis}], got {y.size}")
+    if not 1 <= y.shape[-1] <= n_basis:
+        raise ValueError(f"signal length must lie in [1, {n_basis}], got {y.shape[-1]}")
     return np.fft.fft(y, n=n_basis)
 
 
@@ -141,14 +142,10 @@ def soft_threshold(x, threshold: float):
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     arr = np.asarray(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    mag = np.abs(arr)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0 - threshold / mag, 0.0)
-    scale[mag == 0.0] = 0.0  # |x| -> 0 limit of the formula
-    out = scale * arr
-    return out[0] if scalar else out
+        # fmax also turns the 0/0 of a zero entry at threshold 0 into scale 0
+        scale = np.fmax(1.0 - threshold / np.abs(arr), 0.0)
+    return scale * arr
 
 
 def salsa_solve(
@@ -157,88 +154,89 @@ def salsa_solve(
     params: SalsaParams,
     track_cost: bool = True,
 ) -> SalsaState:
-    """Run the SALSA iteration on a masked signal.
+    """Run the SALSA iteration on a masked signal of shape (M,) or (B, M).
 
-    Starting from c = A^H(masked), d = 0, each iteration performs
+    Rows share `mask` and are solved along the last axis, so row i of a
+    stack equals the call on row i alone. From c = A^H(masked), d = 0:
 
         u <- soft(c + d, threshold_scale * lam / mu) - d
         d <- A^H(masked - mask * A u) / (mu + p_norm)
         c <- d + u
 
-    and (when track_cost) records ||masked - A c||_2^2 + lam * sum|c|.
+    When track_cost (or params.cost_tol) is set, each row's
+    ||masked - A c||_2^2 + lam * sum|c| is recorded, shape (..., iterations).
     Unobserved positions of `masked` are forced to zero before iterating.
-    With params.cost_tol set, iteration stops early once the relative cost
-    change drops below the tolerance and the cost trace is truncated.
+    With cost_tol, iteration stops once every row's relative cost change
+    drops below it, and the trace is truncated there.
     """
     y = np.asarray(masked, dtype=complex)
-    if y.ndim != 1 or y.size != mask.total_len:
-        raise ValueError(f"masked signal must be 1-D of length {mask.total_len}")
+    if y.ndim not in (1, 2) or y.shape[-1] != mask.total_len:
+        raise ValueError(
+            f"masked signal must have shape (M,) or (B, M) with M = {mask.total_len}"
+        )
     if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
         raise ValueError("masked signal must be finite")
-    m_len = y.size
-    n_basis = params.n_basis
-    if m_len > n_basis:
-        raise ValueError(f"signal length {m_len} exceeds n_basis {n_basis}")
+    m_len = mask.total_len
+    n_basis = params.n_basis  # adjoint rejects m_len > n_basis
 
     obs = mask.observed.astype(float)
     y = np.where(mask.observed, y, 0.0)
-
-    if params.cost_tol is not None and not track_cost:
-        raise ValueError("cost_tol stopping requires track_cost=True")
+    track_cost = track_cost or params.cost_tol is not None
 
     c = adjoint(y, n_basis)
-    d = np.zeros(n_basis, dtype=complex)
+    d = np.zeros_like(c)
     thresh = params.threshold_scale * params.lam / params.mu
     step = 1.0 / (params.mu + params.p_norm)
-    cost = np.empty(params.n_iter if track_cost else 0)
+    cost = np.empty(y.shape[:-1] + (params.n_iter if track_cost else 0,))
 
-    n_done = 0
     for i in range(params.n_iter):
         u = soft_threshold(c + d, thresh) - d
         d = step * adjoint(y - obs * synthesize(u, m_len), n_basis)
         c = d + u
-        n_done = i + 1
         if track_cost:
             residual = y - synthesize(c, m_len)
-            cost[i] = float(np.sum(np.abs(residual) ** 2)) + params.lam * float(
-                np.sum(np.abs(c))
+            cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + params.lam * np.sum(
+                np.abs(c), axis=-1
             )
             if (
                 params.cost_tol is not None
                 and i > 0
-                and abs(cost[i] - cost[i - 1]) <= params.cost_tol * abs(cost[i - 1])
+                and np.all(
+                    np.abs(cost[..., i] - cost[..., i - 1])
+                    <= params.cost_tol * np.abs(cost[..., i - 1])
+                )
             ):
+                cost = cost[..., : i + 1]
                 break
 
-    return SalsaState(c=c, cost_history=cost[:n_done] if track_cost else cost)
+    return SalsaState(c=c, cost_history=cost)
 
 
 def salsa_forecast(
     history,
     horizon: int,
     params: SalsaParams = SalsaParams(),
-    track_cost: bool = True,
+    track_cost: bool = False,
 ) -> np.ndarray:
-    """Forecast `horizon` samples past a fully observed real history.
+    """Forecast `horizon` samples past real histories of shape (K,) or (B, K).
 
-    Builds a length K + horizon signal whose trailing samples are masked,
-    runs :func:`salsa_solve`, and returns the real part of the synthesized
-    signal at the masked positions.
+    Masks `horizon` samples after each history, runs :func:`salsa_solve`
+    (the iterates do not depend on its cost trace, so it is off by default)
+    and returns the real part of the synthesized masked samples, shaped
+    (horizon,) or (B, horizon); row i equals the call on row i alone.
     """
     hist = np.asarray(history, dtype=float)
-    if hist.ndim != 1 or hist.size < 1:
-        raise ValueError("history must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(hist)):
-        raise ValueError("history must be finite")
+    if hist.ndim not in (1, 2) or hist.shape[-1] < 1:
+        raise ValueError("history must have shape (K,) or (B, K) with K >= 1")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    k = hist.size
+    k = hist.shape[-1]
     m_len = k + horizon
     if m_len > params.n_basis:
         raise ValueError(
             f"history + horizon = {m_len} exceeds n_basis {params.n_basis}"
         )
-    masked = np.concatenate([hist, np.zeros(horizon)])
+    masked = np.concatenate([hist, np.zeros(hist.shape[:-1] + (horizon,))], axis=-1)
     mask = ObservationMask.prefix(k, m_len)
     state = salsa_solve(masked, mask, params, track_cost=track_cost)
-    return np.real(synthesize(state.c, m_len))[k:]
+    return np.real(synthesize(state.c, m_len))[..., k:]

@@ -1,0 +1,113 @@
+"""A stacked call is the single call on every row: bit for bit, not approximately."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import sigcast.montecarlo
+from sigcast.baselines import LinearParams, linear_forecast
+from sigcast.causal import CausalParams, moving_average
+from sigcast.harness import forecast
+from sigcast.montecarlo import SimParams, SweepGrid, generate_path
+from sigcast.salsa import ObservationMask, SalsaParams, salsa_forecast, salsa_solve
+
+values = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def stacks(min_len, max_len):
+    """(B, K) float stacks with 1 <= B <= 5 and K in [min_len, max_len]."""
+    return st.tuples(st.integers(1, 5), st.integers(min_len, max_len)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=values)
+    )
+
+
+def assert_rows_equal(batched, single_call, stack):
+    assert batched.shape[0] == stack.shape[0]
+    for row, out in zip(stack, batched):
+        assert np.array_equal(out, single_call(row))
+
+
+SMALL_SALSA = SalsaParams(mu=0.6, lam=1.0, n_basis=48, n_iter=30)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stack=stacks(1, 40), horizon=st.integers(1, 8))
+def test_salsa_forecast_rows(stack, horizon):
+    batched = salsa_forecast(stack, horizon, SMALL_SALSA)
+    assert batched.shape == (stack.shape[0], horizon)
+    assert_rows_equal(batched, lambda row: salsa_forecast(row, horizon, SMALL_SALSA), stack)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stack=stacks(2, 40), n_observed=st.integers(1, 40))
+def test_salsa_cost_trace_rows(stack, n_observed):
+    mask = ObservationMask.prefix(min(n_observed, stack.shape[1]), stack.shape[1])
+    batched = salsa_solve(stack, mask, SMALL_SALSA)
+    assert batched.cost_history.shape == (stack.shape[0], SMALL_SALSA.n_iter)
+    for row, c, cost in zip(stack, batched.c, batched.cost_history):
+        single = salsa_solve(row, mask, SMALL_SALSA)
+        assert np.array_equal(c, single.c)
+        assert np.array_equal(cost, single.cost_history)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LinearParams(lookback=3, variant="two_point_span"), LinearParams(variant="code_slope")],
+    ids=["two_point_span", "code_slope"],
+)
+@settings(max_examples=50, deadline=None)
+@given(stack=stacks(4, 30), horizon=st.integers(1, 12))
+def test_linear_forecast_rows(params, stack, horizon):
+    batched = linear_forecast(stack, horizon, params)
+    assert batched.shape == (stack.shape[0], horizon)
+    assert_rows_equal(batched, lambda row: linear_forecast(row, horizon, params), stack)
+
+
+SMALL_CAUSAL = CausalParams(n_harmonics=5)
+METHOD_PARAMS = {
+    "salsa": SalsaParams(n_basis=32, n_iter=30),
+    "causal": SMALL_CAUSAL,
+    "linear": LinearParams(),
+}
+
+
+@pytest.mark.parametrize("method", ["salsa", "causal", "linear"])
+@settings(max_examples=15, deadline=None)
+@given(stack=stacks(SMALL_CAUSAL.window_len, SMALL_CAUSAL.window_len), horizon=st.integers(1, 6))
+def test_harness_forecast_rows(method, stack, horizon):
+    params = METHOD_PARAMS[method]
+    batched = forecast(method, stack, horizon, params)
+    assert batched.shape == (stack.shape[0], horizon)
+    assert_rows_equal(batched, lambda row: forecast(method, row, horizon, params), stack)
+
+
+@settings(max_examples=15, deadline=None)
+@given(stack=stacks(SMALL_CAUSAL.window_len, SMALL_CAUSAL.window_len), horizon=st.integers(1, 6))
+def test_harness_forecast_presmoothed_rows(stack, horizon):
+    smoothed = np.array([moving_average(row[::-1], 3) for row in stack])
+    batched = forecast("causal", stack, horizon, SMALL_CAUSAL, presmoothed=smoothed)
+    for row, sm, out in zip(stack, smoothed, batched):
+        assert np.array_equal(out, forecast("causal", row, horizon, SMALL_CAUSAL, presmoothed=sm))
+
+
+def per_trial_cell(mu, lam, n_basis, cell_index, grid, sim):
+    """The sweep cell as one SALSA call per trial, summed in trial order."""
+    params = SalsaParams(mu=mu, lam=lam, n_basis=n_basis)
+    total = 0.0
+    for trial in range(grid.trials):
+        seed = np.random.SeedSequence((sim.seed, cell_index, trial))
+        path = generate_path(sim, rng_seed=seed).values
+        fc = salsa_forecast(path[: grid.window], grid.horizon, params)
+        total += float(np.sum((fc - path[grid.window :]) ** 2))
+    return total / (grid.trials * grid.horizon)
+
+
+def test_run_cell_matches_per_trial_loop():
+    grid = SweepGrid(mu_values=(0.6,), n_basis_values=(64,), trials=24, horizon=5, window=40)
+    sim = SimParams(length=45, seed=2718)
+    row = sigcast.montecarlo._run_cell((0.6, 1.0, 64, 3, grid, sim))
+    assert row.error is None
+    assert row.trials_run == 24
+    assert row.mean_residual_per_point == per_trial_cell(0.6, 1.0, 64, 3, grid, sim)

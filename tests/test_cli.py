@@ -140,6 +140,26 @@ class TestExperiment:
             outs.append((out / "report.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ("--n-harmonics", "10"),
+            ("--n-basis", "50"),
+            ("--methods", "linear", "--window", "1"),
+            ("--methods", "linear", "--window", "3", "--lookback", "3",
+             "--linear-variant", "two_point_span"),
+        ],
+        ids=["causal_window", "salsa_n_basis", "code_slope_window", "two_point_span_window"],
+    )
+    def test_impossible_window_is_validation_error(self, tmp_path, capsys, options):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, generate_path(SimParams(length=120, seed=4)).values)
+        out = tmp_path / "out"
+        assert run("experiment", "--input", str(src), "--column", "value",
+                   "--horizon", "5", *options, "--output-dir", str(out)) == 1
+        assert "needs" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_report_matches_direct_library_call(self, tmp_path):
         from sigcast.harness import ExperimentConfig, render_report, run_experiment
         from sigcast.salsa import SalsaParams as SP
@@ -230,6 +250,22 @@ class TestSweep:
         before = (out / "sweep.csv").read_text()
         assert run("sweep", *args, "--resume") == 1
         assert (out / "sweep.csv").read_text() == before
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            (("--n-basis-values", "0"), "got 0"),
+            (("--n-basis-values", "200,20"), "n_basis 20"),
+            (("--mu-values", "0.6,0"), "got 0.0"),
+        ],
+        ids=["n_basis_zero", "n_basis_below_window", "mu_zero"],
+    )
+    def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
+        out = tmp_path / "out"
+        assert run("sweep", *grid, "--trials", "1", "--window", "40", "--horizon", "2",
+                   "--seed", "9", "--output-dir", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"

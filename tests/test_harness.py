@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sigcast.harness
+from sigcast.baselines import LinearParams
+from sigcast.causal import CausalParams
 from sigcast.harness import (
     ExperimentConfig,
     render_plot_csv,
@@ -20,6 +23,13 @@ DATA_DIR = Path(__file__).parent / "data"
 
 GOLDEN_CONFIG = ExperimentConfig(horizon=5, window_len=91, stride=5)
 GOLDEN_SIM = SimParams(length=141, seed=20240915)
+
+
+def _raise(exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("injected failure")
+
+    return fail
 
 
 def golden_result():
@@ -75,16 +85,24 @@ class TestRunExperiment:
         assert ar_result.truth_stats.min == span.min()
         assert ar_result.truth_stats.max == span.max()
 
-    def test_method_failure_recorded_and_skipped(self):
-        # window_len 61 breaks the causal engine (needs 2N+1 = 91) but not linear
+    def test_method_failure_recorded_and_skipped(self, monkeypatch):
+        # a causal solve that fails numerically fails every window, linear runs on
+        monkeypatch.setattr(sigcast.harness, "causal_forecast", _raise(ArithmeticError))
         series = generate_path(SimParams(length=100, seed=9))
-        config = ExperimentConfig(horizon=3, window_len=61, stride=3, methods=("causal", "linear"))
+        config = ExperimentConfig(horizon=3, stride=3, methods=("causal", "linear"))
         result = run_experiment(series, config)
         assert result.failures["causal"] == list(range(result.n_windows))
         assert result.residuals["causal"] is None
         assert np.all(np.isnan(result.tracks["causal"]))
         assert result.failures["linear"] == []
         assert result.residuals["linear"] is not None
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        # a TypeError is a bug, not a failed window
+        monkeypatch.setattr(sigcast.harness, "linear_forecast", _raise(TypeError))
+        series = generate_path(SimParams(length=100, seed=9))
+        with pytest.raises(TypeError):
+            run_experiment(series, ExperimentConfig(horizon=3, methods=("linear",)))
 
     def test_lookahead_smoothing_differs_from_leak_free(self):
         series = generate_path(SimParams(length=130, seed=5))
@@ -116,6 +134,26 @@ class TestExperimentConfig:
     def test_methods_normalized_to_table_order(self):
         config = ExperimentConfig(horizon=2, methods=("linear", "salsa", "causal"))
         assert config.methods == ("causal", "salsa", "linear")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(methods=("causal",), causal=CausalParams(n_harmonics=10)), r"2\*n_harmonics\+1 = 21"),
+            (dict(methods=("salsa",), salsa=SalsaParams(n_basis=50)), "n_basis = 50"),
+            (dict(methods=("linear",), window_len=1), "at least 2"),
+            (dict(methods=("linear",), window_len=3,
+                  linear=LinearParams(lookback=3, variant="two_point_span")), "at least 4"),
+        ],
+        ids=["causal_window", "salsa_n_basis", "code_slope_window", "two_point_span_window"],
+    )
+    def test_impossible_window_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(horizon=2, **kwargs)
+
+    def test_disabled_method_not_checked(self):
+        # n_basis 50 cannot hold a 91-sample window, but SALSA is not run
+        config = ExperimentConfig(horizon=2, methods=("linear",), salsa=SalsaParams(n_basis=50))
+        assert config.methods == ("linear",)
 
 
 class TestRenderReport:
@@ -165,9 +203,10 @@ class TestRenderPlotCsv:
         assert int(first[0]) == ar_result.target_indices[0]
         assert float(first[1]) == ar_result.truth_track[0]
 
-    def test_failed_windows_leave_empty_cells(self):
+    def test_failed_windows_leave_empty_cells(self, monkeypatch):
+        monkeypatch.setattr(sigcast.harness, "causal_forecast", _raise(ArithmeticError))
         series = generate_path(SimParams(length=100, seed=9))
-        config = ExperimentConfig(horizon=3, window_len=61, stride=3, methods=("causal", "linear"))
+        config = ExperimentConfig(horizon=3, stride=3, methods=("causal", "linear"))
         result = run_experiment(series, config)
         rows = list(csv.reader(io.StringIO(render_plot_csv(result))))
         causal_col = rows[0].index("causal")

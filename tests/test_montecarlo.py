@@ -111,6 +111,18 @@ class TestRunSweep:
         assert table.rows[0].error is not None
         assert table.rows[1].error is None
 
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        # a TypeError is a bug, not a failed cell
+        import sigcast.montecarlo
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected failure")
+
+        monkeypatch.setattr(sigcast.montecarlo, "salsa_forecast", broken)
+        grid = SweepGrid(mu_values=(0.6,), **FAST_GRID)
+        with pytest.raises(TypeError):
+            run_sweep(grid, SimParams(length=43, seed=2), threads=1)
+
     def test_resume_skips_completed_cells(self):
         grid = SweepGrid(mu_values=(0.5, 1.0), **FAST_GRID)
         sim = SimParams(length=43, seed=11)

@@ -184,6 +184,15 @@ class TestSalsaSolve:
         state = salsa_solve(masked, mask, params)
         assert state.cost_history.size < 500
 
+    def test_cost_tol_stops_early_without_track_cost(self):
+        params = SalsaParams(n_basis=64, n_iter=500, cost_tol=1e-3)
+        mask = ObservationMask.prefix(20, 24)
+        rng = np.random.default_rng(2)
+        masked = np.concatenate([rng.normal(size=20), np.zeros(4)])
+        state = salsa_solve(masked, mask, params, track_cost=False)
+        assert 0 < state.cost_history.size < 500
+        assert np.array_equal(state.c, salsa_solve(masked, mask, params).c)
+
     def test_track_cost_off_gives_same_iterates(self):
         params = SalsaParams(n_basis=64, n_iter=40)
         mask = ObservationMask.prefix(20, 24)
