@@ -144,10 +144,9 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
     every window recorded in result.failures and its track is all NaN; its
     residuals and track statistics are None. Any other exception propagates.
     """
-    windows = rolling_windows(series, config.window_len, config.horizon, config.stride)
-    n_win = len(windows)
+    starts = rolling_windows(series, config.window_len, config.horizon, config.stride)
+    n_win = len(starts)
     horizon = config.horizon
-    starts = np.array([win.q for win, _ in windows])
     history_idx = starts[:, None] + np.arange(config.window_len)
     target_idx = starts[:, None] + config.window_len + np.arange(horizon)
 

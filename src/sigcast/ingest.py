@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import csv
+import math
 import numpy as np
 
 from .series import TimeSeries
@@ -46,17 +47,6 @@ class CsvSpec:
             )
 
 
-def _parse_cell(cell: str) -> tuple[float | None, bool]:
-    """Returns (value, is_missing); raises on unparseable non-missing text."""
-    token = cell.strip()
-    if token.lower() in _NA_TOKENS:
-        return None, True
-    value = float(token)  # ValueError propagates for genuinely bad cells
-    if not np.isfinite(value):
-        return None, True
-    return value, False
-
-
 def read_csv_column(spec: CsvSpec) -> TimeSeries:
     """Load the selected column, applying the missing-value policy.
 
@@ -64,41 +54,58 @@ def read_csv_column(spec: CsvSpec) -> TimeSeries:
     forward_fill : interior gaps repeat the previous value; leading gaps
                    (nothing to fill from) are dropped
     error        : any gap raises
+
+    The file is read as UTF-8; a leading byte-order mark is ignored.
+    Malformed CSV raises ValueError naming the line.
     """
-    with open(spec.path, newline="") as fh:
-        rows = list(csv.reader(fh))
-
-    if isinstance(spec.column, str):
-        if not rows:
-            raise ValueError("empty file, cannot resolve header")
-        header = [h.strip() for h in rows[0]]
-        if spec.column not in header:
-            raise ValueError(f"column {spec.column!r} not found in header {header}")
-        col_idx = header.index(spec.column)
-        rows = rows[1:]
-    else:
-        col_idx = spec.column - 1
-        if spec.skip_header:
-            rows = rows[1:]
-
-    # trailing empty rows are file artifacts; interior ones are data gaps
-    while rows and (not rows[-1] or all(not c.strip() for c in rows[-1])):
-        rows.pop()
-
     values: list[float] = []
-    for row_no, row in enumerate(rows):
-        cell = row[col_idx] if col_idx < len(row) else ""
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            value, missing = _parse_cell(cell)
-        except ValueError as exc:
-            raise ValueError(f"unparseable value {cell!r} at data row {row_no + 1}") from exc
-        if missing:
-            if spec.missing_policy == "error":
-                raise ValueError(f"missing value at data row {row_no + 1}")
-            if spec.missing_policy == "forward_fill" and values:
-                values.append(values[-1])
-            continue  # drop, or leading gap under forward_fill
-        values.append(value)
+            if isinstance(spec.column, str):
+                header = next(reader, None)
+                if header is None:
+                    raise ValueError("empty file, cannot resolve header")
+                header = [h.strip() for h in header]
+                if spec.column not in header:
+                    raise ValueError(f"column {spec.column!r} not found in header {header}")
+                col_idx = header.index(spec.column)
+            else:
+                col_idx = spec.column - 1
+                if spec.skip_header:
+                    next(reader, None)
+
+            # Rows blank in every cell are held back until a non-blank row
+            # follows: trailing ones are file artifacts, interior ones gaps.
+            held = 0
+            for row_no, row in enumerate(reader, 1):
+                cell = row[col_idx] if col_idx < len(row) else ""
+                token = cell.strip()
+                if not token and not any(c.strip() for c in row):
+                    held += 1
+                    continue
+                if held:
+                    if spec.missing_policy == "error":
+                        raise ValueError(f"missing value at data row {row_no - held}")
+                    if spec.missing_policy == "forward_fill" and values:
+                        values.extend([values[-1]] * held)
+                    held = 0
+                try:
+                    value = float(token)  # "nan" and "inf" parse, and count as missing
+                except ValueError as exc:
+                    if token.lower() not in _NA_TOKENS:
+                        msg = f"unparseable value {cell!r} at data row {row_no}"
+                        raise ValueError(msg) from exc
+                    value = math.nan
+                if math.isfinite(value):
+                    values.append(value)
+                elif spec.missing_policy == "error":
+                    raise ValueError(f"missing value at data row {row_no}")
+                elif spec.missing_policy == "forward_fill" and values:
+                    values.append(values[-1])
+                # else drop, or leading gap under forward_fill
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
     if not values:
         raise ValueError(f"no usable rows in {spec.path}")

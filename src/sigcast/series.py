@@ -118,13 +118,14 @@ def l2_residual(forecast, actual) -> ResidualReport:
 
 def rolling_windows(
     series: TimeSeries, window_len: int, horizon: int, stride: int = 1
-) -> list[tuple[Window, np.ndarray]]:
-    """Enumerate history windows with their truth segments.
+) -> np.ndarray:
+    """Start offsets of the history windows, as an int array.
 
     Windows start at offsets 0, stride, 2*stride, ... for as long as the
     horizon-length truth segment still fits inside the series, giving
-    floor((len - window_len - horizon) / stride) + 1 windows. Each item is
-    (Window over [q, s], truth array of the next `horizon` samples).
+    floor((len - window_len - horizon) / stride) + 1 windows. The window
+    starting at q covers [q, q + window_len - 1] and its truth is the next
+    `horizon` samples.
     """
     if window_len < 1 or horizon < 1:
         raise ValueError("window_len and horizon must be >= 1")
@@ -135,9 +136,4 @@ def rolling_windows(
         raise ValueError(
             f"series too short: need >= {window_len + horizon} samples, have {n}"
         )
-    out = []
-    for q in range(0, n - window_len - horizon + 1, stride):
-        s = q + window_len - 1
-        truth = series.values[s + 1 : s + 1 + horizon].copy()
-        out.append((Window(q, s), truth))
-    return out
+    return np.arange(0, n - window_len - horizon + 1, stride)

@@ -86,6 +86,30 @@ class TestForecast:
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, library(tone[:91], 10))
 
+    @pytest.mark.parametrize(
+        "column", [["--column", "Close"], ["--column", "1", "--skip-header"]],
+        ids=["by_name", "by_index_skip_header"],
+    )
+    def test_byte_order_mark_ignored(self, tmp_path, column):
+        closes = [10.5, 10.75, 11.0, 10.25, 10.5, 10.875]
+        src = tmp_path / "prices.csv"
+        src.write_text("\ufeffClose,Volume\n" + "".join(f"{c},100\n" for c in closes),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("forecast", "--input", str(src), *column, "--method", "linear",
+                   "--window", "6", "--horizon", "2", "--format", "csv",
+                   "--output-dir", str(out)) == 0
+        rows = list(csv.reader((out / "forecast.csv").open()))
+        got = np.array([float(r[1]) for r in rows[1:]])
+        assert np.array_equal(got, linear_forecast(np.array(closes), 2))
+
+    def test_oversized_field_is_validation_error(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        src.write_text("value,note\n1.0,ok\n2.0," + "x" * (csv.field_size_limit() + 1) + "\n")
+        assert run("forecast", "--input", str(src), "--column", "value",
+                   "--method", "linear", "--output-dir", str(tmp_path / "out")) == 1
+        assert "line 3" in capsys.readouterr().err
+
     def test_window_longer_than_series_is_validation_error(self, tmp_path):
         src = tmp_path / "short.csv"
         write_series_csv(src, np.arange(10.0))
