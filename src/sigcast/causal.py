@@ -14,6 +14,11 @@ The spectral weights solve the Tikhonov-regularized Gram system
 is evaluated past the window edge to extrapolate. Forecast values are
 re-centered with the mean of the last three smoothed window samples, which
 tracks the local level of wandering series.
+
+Every step after the smoothing is linear in the smoothed window and uses the
+same time axis t = 1..2N+1, so :func:`causal_forecast` applies one cached
+matrix to all windows; :func:`causal_fit` and :func:`synthesize_causal` are
+the same pipeline one window at a time.
 """
 
 from __future__ import annotations
@@ -98,19 +103,26 @@ def sinc(u):
 
 
 def moving_average(values, width: int) -> np.ndarray:
-    """Centered `width`-point mean; edges use the truncated window that fits."""
+    """Centered `width`-point mean along the last axis; edges use the
+    truncated window that fits. The result is C-contiguous."""
     vals = np.asarray(values, dtype=float)
     if width < 1 or width % 2 == 0:
         raise ValueError(f"width must be odd and positive, got {width}")
-    n = vals.size
+    n = vals.shape[-1]
     if n < width:
         raise ValueError(f"series length {n} shorter than width {width}")
     half = width // 2
-    csum = np.concatenate(([0.0], np.cumsum(vals)))
+    csum = np.zeros(vals.shape[:-1] + (n + 1,))
+    np.cumsum(vals, axis=-1, out=csum[..., 1:])
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    # np.take keeps C order, where csum[..., hi] would be Fortran-ordered;
+    # the in-place steps hold one temporary fewer at a time
+    out = np.take(csum, hi, axis=-1)
+    out -= np.take(csum, lo, axis=-1)
+    out /= hi - lo
+    return out
 
 
 def _sinc_design(t: np.ndarray, n_harmonics: int, omega: float) -> np.ndarray:
@@ -155,22 +167,28 @@ def gram_matrix(window: Window, params: CausalParams) -> np.ndarray:
 
 
 def regularized_solve(gram, nu: float, b) -> np.ndarray:
-    """Solve the Tikhonov system (R + nu*I) y = b."""
+    """Solve the Tikhonov system (R + nu*I) y = b for b of shape (n,) or (n, m).
+
+    Each right-hand side must be solved to a residual below 1e-8 * ||b||,
+    or ArithmeticError is raised.
+    """
     gram = np.asarray(gram, dtype=float)
     b = np.asarray(b, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"gram must be square, got shape {gram.shape}")
-    if b.shape != (gram.shape[0],):
-        raise ValueError(f"rhs length {b.shape} does not match matrix {gram.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != gram.shape[0]:
+        raise ValueError(f"rhs shape {b.shape} does not match matrix {gram.shape}")
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in linear system")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
     system = gram + nu * np.eye(gram.shape[0])
     y = np.linalg.solve(system, b)
-    resid = np.linalg.norm(system @ y - b)
-    if resid > 0 and resid >= 1e-8 * np.linalg.norm(b):
-        raise ArithmeticError(f"regularized solve residual {resid:.3e} exceeds 1e-8 * ||b||")
+    resid = np.linalg.norm(system @ y - b, axis=0)
+    if np.any((resid > 0) & (resid >= 1e-8 * np.linalg.norm(b, axis=0))):
+        raise ArithmeticError(
+            f"regularized solve residual {np.max(resid):.3e} exceeds 1e-8 * ||b||"
+        )
     return y
 
 
@@ -203,40 +221,83 @@ def causal_fit(smoothed, params: CausalParams, t_start: int = 1) -> CausalCoeffi
     return CausalCoefficients(y=y, window_mean=window_mean, tail_mean=tail_mean)
 
 
+@lru_cache(maxsize=32)
+def _operator(params: CausalParams, horizon: int) -> np.ndarray:
+    """The read-only (horizon, K) matrix W of the forecast s_mean + W (s - s_mean).
+
+    With K = 2N+1 window samples at t = 1..K, forecast times t_f = K+1..K+h
+    and tau putting 1/3 on the last three samples,
+
+        W = (omega/pi)^2 S_f (R + nu*I)^-1 S^T (I - 11^T/K) + 1 tau^T,
+
+    where S and S_f are the sinc designs at t and t_f. The first term is the
+    centred fit extrapolated by :func:`synthesize_causal`, the second the
+    tail-mean re-centring, so W 1 = 1. Built with one solve over the K
+    columns; every column meets the residual rule of :func:`regularized_solve`.
+    """
+    k = params.window_len
+    scale = params.omega / np.pi
+    s_mat = _sinc_design(np.arange(1, k + 1, dtype=float), params.n_harmonics, params.omega)
+    rhs = scale * (s_mat - s_mat.mean(axis=0)).T  # (omega/pi) S^T (I - 11^T/K)
+    y = regularized_solve(gram_matrix(Window(1, k), params), params.nu, rhs)
+    t_fc = np.arange(k + 1, k + horizon + 1, dtype=float)
+    w = scale * (_sinc_design(t_fc, params.n_harmonics, params.omega) @ y)
+    w[:, -TAIL_MEAN_SAMPLES:] += 1 / TAIL_MEAN_SAMPLES
+    w.flags.writeable = False
+    return w
+
+
+# rows smoothed and centred at a time, so the temporaries stay at 64 x K
+# floats however many windows are stacked
+_ROW_BLOCK = 64
+
+
 def causal_forecast(
     history,
     horizon: int,
     params: CausalParams = CausalParams(),
     presmoothed=None,
 ) -> np.ndarray:
-    """Forecast `horizon` samples past a length-(2N+1) history window.
+    """Forecast `horizon` samples past histories of shape (K,) or (B, K), K = 2N+1.
 
-    Pipeline: moving-average smoothing, window-mean centering, sinc
-    projection, regularized solve, synthesis at t = window_len + 1 .. + h,
-    then tail-mean re-centering of the forecast values.
+    The window is smoothed by the moving average, and the forecast is
+    s_mean + W (s - s_mean) for the smoothed window s with mean s_mean: the
+    sinc fit of the mean-centred window, extrapolated to t = K+1 .. K+h and
+    re-centred at the mean of the last three smoothed samples. W is built
+    once per (params, horizon) and cached (see :func:`_operator`). Row i of
+    a (B, horizon) result equals the call on row i alone.
 
-    `presmoothed` substitutes an externally smoothed window (same length)
-    and skips the internal moving average; the experiment harness uses it to
+    `presmoothed` substitutes externally smoothed windows (same shape) and
+    skips the internal moving average; the experiment harness uses it to
     emulate smoothing the full series at once.
     """
     hist = np.asarray(history, dtype=float)
     expected = params.window_len
-    if hist.ndim != 1 or hist.size != expected:
+    if hist.ndim not in (1, 2) or hist.shape[-1] != expected:
         raise ValueError(
-            f"history must have exactly {expected} samples (2*n_harmonics+1), got {hist.size}"
+            f"history must have exactly {expected} samples (2*n_harmonics+1) per row, "
+            f"got shape {hist.shape}"
         )
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if presmoothed is not None and np.shape(presmoothed) != hist.shape:
+        raise ValueError("presmoothed window must match history shape")
 
-    if presmoothed is None:
-        sm = moving_average(hist, params.ma_width)
-    else:
-        sm = np.asarray(presmoothed, dtype=float)
-        if sm.shape != hist.shape:
-            raise ValueError("presmoothed window must match history length")
-
-    coeffs = causal_fit(sm, params, t_start=1)
-    t_fc = np.arange(expected + 1, expected + horizon + 1)
-    return synthesize_causal(coeffs, t_fc, params) + coeffs.tail_mean
+    w = _operator(params, horizon)
+    rows = np.atleast_2d(hist)
+    out = np.empty((len(rows), horizon))
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        if presmoothed is None:
+            sm = moving_average(rows[block], params.ma_width)
+        else:
+            sm = np.ascontiguousarray(np.atleast_2d(presmoothed)[block], dtype=float)
+        # a C-contiguous stack and one sum per step keep every row's rounding
+        # independent of B, so row i equals the 1-D call bit for bit
+        mean = np.mean(sm, axis=-1)
+        centred = sm - mean[:, None]
+        for j in range(horizon):
+            out[block, j] = mean + np.sum(centred * w[j], axis=-1)
+    return out if hist.ndim == 2 else out[0]

@@ -8,8 +8,8 @@ experiment  rolling-window comparison of the enabled methods, with report
 sweep       Monte Carlo hyperparameter grid sweep (resumable)
 simulate    generate one synthetic AR path as CSV
 
-Exit codes: 0 ok, 1 validation error, 2 I/O error. Randomized commands
-print the seed they used so results can be reproduced.
+Exit codes: 0 ok, 1 validation error or failed forecast, 2 I/O error.
+Randomized commands print the seed they used so results can be reproduced.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import os
 import secrets
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # the forecasters stay imported here because perfbench's tracer rebinds them
 from .baselines import VARIANTS, LinearParams, linear_forecast  # noqa: F401
@@ -174,6 +176,8 @@ def cmd_forecast(args) -> int:
     if len(series) < args.window:
         raise ValueError(f"series has {len(series)} samples, need window {args.window}")
     values = forecast(args.method, series.values[-args.window :], args.horizon, params)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{args.method} forecast is not finite")
 
     out = _out_dir(args)
     meta = {
@@ -341,7 +345,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sigcast: I/O error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"sigcast: {exc}", file=sys.stderr)
         return 1
 

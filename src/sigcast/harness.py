@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import LinearParams, linear_forecast
 from .causal import CausalParams, causal_forecast, moving_average
@@ -48,22 +49,15 @@ def forecast(method: str, history, horizon: int, params, presmoothed=None) -> np
 
     Row i of a (B, horizon) result equals the call on row i alone. `params`
     is the method's parameter object; `presmoothed`, shaped like `history`,
-    goes to the causal method only (see :func:`causal_forecast`), which is
-    mapped over the rows because batching its matrix products, means and
-    solve changes the last bits. This is the one place that dispatches on a
-    method name; the forecasters are module globals looked up on every call,
-    so rebinding them here (perfbench's tracer does) takes effect.
+    goes to the causal method only (see :func:`causal_forecast`). This is
+    the one place that dispatches on a method name; the forecasters are
+    module globals looked up on every call, so rebinding them here
+    (perfbench's tracer does) takes effect.
     """
     if method == "salsa":
         return salsa_forecast(history, horizon, params)
     if method == "causal":
-        rows = np.atleast_2d(np.asarray(history, dtype=float))
-        smooth = [None] * len(rows) if presmoothed is None else np.atleast_2d(presmoothed)
-        out = np.array([
-            causal_forecast(hist, horizon, params, presmoothed=sm)
-            for hist, sm in zip(rows, smooth, strict=True)
-        ])
-        return out if np.ndim(history) > 1 else out[0]
+        return causal_forecast(history, horizon, params, presmoothed)
     if method == "linear":
         return linear_forecast(history, horizon, params)
     raise ValueError(f"unknown method: {method!r}")
@@ -140,20 +134,25 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
     """Run every enabled method over all rolling windows of the series.
 
     The windows are stacked and each method forecasts the whole stack in one
-    call. A method whose call fails with a ValueError or ArithmeticError has
-    every window recorded in result.failures and its track is all NaN; its
-    residuals and track statistics are None. Any other exception propagates.
+    call. A window whose forecast has a non-finite value is a failure: it is
+    recorded in result.failures and its track values are NaN, so scoring
+    skips it. A method whose call fails with a ValueError or ArithmeticError
+    has every window failed; a method with no window left has residuals and
+    track statistics None. Any other exception propagates.
     """
     starts = rolling_windows(series, config.window_len, config.horizon, config.stride)
     n_win = len(starts)
     horizon = config.horizon
-    history_idx = starts[:, None] + np.arange(config.window_len)
     target_idx = starts[:, None] + config.window_len + np.arange(horizon)
 
     # presentation curve, and the smoothed source for lookahead mode
     full_smoothed = moving_average(series.values, config.causal.ma_width)
-    histories = series.values[history_idx]
-    presmoothed = full_smoothed[history_idx] if config.lookahead_smoothing else None
+    # the windows are copied from strided views; an index array would be as large
+    histories = sliding_window_view(series.values, config.window_len)[starts]
+    presmoothed = (
+        sliding_window_view(full_smoothed, config.window_len)[starts]
+        if config.lookahead_smoothing else None
+    )
     truth_track = series.values[target_idx].reshape(-1)
 
     tracks, failures, wall, residuals, track_stats = {}, {}, {}, {}, {}
@@ -161,9 +160,11 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
         t0 = time.perf_counter()
         try:
             fc = forecast(method, histories, horizon, getattr(config, method), presmoothed)
-            track, failures[method] = fc.reshape(n_win * horizon), []
         except (ValueError, ArithmeticError):
-            track, failures[method] = np.full(n_win * horizon, np.nan), list(range(n_win))
+            fc = np.full((n_win, horizon), np.nan)
+        failed = ~np.isfinite(fc).all(axis=1)
+        failures[method] = np.flatnonzero(failed).tolist()
+        track = np.where(failed[:, None], np.nan, fc).reshape(n_win * horizon)
         wall[method] = time.perf_counter() - t0
         ok = ~np.isnan(track)
         residuals[method] = l2_residual(track[ok], truth_track[ok]) if ok.any() else None

@@ -5,7 +5,8 @@ causal method against what its documentation promises, at the unchanged
 defaults and bounds. 5b pins the Tikhonov shrinkage nu/(omega/pi + nu) of
 the in-window fit to theory and holds the 5% bound where that shrinkage is
 small. 5c holds the 15% bound on the band-limited extrapolation step and
-pins the default forecast to that step plus the tail-mean re-centring. The
+pins the default forecast to that step plus the tail-mean re-centring, to
+1e-12 relative. The
 default-pipeline errors (0.2797 and 1.8210) are printed as diagnostics.
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see every line.
@@ -220,14 +221,19 @@ def test_criterion_5b_inband_inwindow_rmse():
 
 
 def test_criterion_5c_two_step_forecast_error():
-    """In-band sinusoid 2-step forecast: extrapolation < 15%, pipeline exact.
+    """In-band sinusoid 2-step forecast: extrapolation < 15%, pipeline pinned.
 
     (a) The band-limited extrapolation step meets the 15% truth-relative
         bound: fit the raw history (ma_width=1) at a vanishing nu = 1e-6,
         re-centre at the window mean and evaluate at t = 92, 93. The error
         measures 0.069 (0.132 at nu = 1e-5).
     (b) At the defaults, causal_forecast equals that extrapolation from the
-        smoothed window plus tail_mean, bit for bit.
+        smoothed window plus tail_mean, to 1e-12 relative (measured 2.1e-16).
+        The forecast applies one precomputed matrix to the window where the
+        fit solves per window, so the two round differently in the last bits;
+        each fault in the 5c decomposition (re-centring at the window mean, a
+        0.237 shift; shifted forecast times; rescaled synthesis; doubled nu)
+        moves it by far more than 1e-12.
     (c) The default-pipeline error (1.8210) is printed. Three documented
         effects stack up in it: the re-centring adds tail_mean - window_mean
         = 0.237 to a fit already centred at the window mean; the truncated
@@ -246,16 +252,17 @@ def test_criterion_5c_two_step_forecast_error():
     params = CausalParams()
     fc = causal_forecast(hist, 2, params)
     fit = causal_fit(moving_average(hist, params.ma_width), params)
-    exact = np.array_equal(fc, synthesize_causal(fit, t_fc, params) + fit.tail_mean)
+    pipeline = synthesize_causal(fit, t_fc, params) + fit.tail_mean
+    pipeline_dev = np.max(np.abs(fc - pipeline) / np.abs(pipeline))
 
     rel_default = np.linalg.norm(fc - truth2) / np.linalg.norm(truth2)
     shift = fit.tail_mean - fit.window_mean
-    ok = rel_extrap < 0.15 and exact
+    ok = rel_extrap < 0.15 and pipeline_dev < 1e-12
     assert report(
         "5c in-band 2-step forecast",
         ok,
         f"extrapolation (ma_width=1, nu=1e-6) relative error {rel_extrap:.4f} (bound 0.15); "
-        f"defaults = extrapolation + tail_mean bit-exact: {exact}; "
+        f"defaults = extrapolation + tail_mean to relative {pipeline_dev:.1e} (bound 1e-12); "
         f"diagnostic at defaults: relative error {rel_default:.4f}, "
         f"tail_mean - window_mean {shift:.4f}",
     )

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sigcast.causal
 import sigcast.montecarlo
 from sigcast.baselines import LinearParams, linear_forecast
-from sigcast.causal import CausalParams, moving_average
+from sigcast.causal import CausalParams, causal_forecast, moving_average
 from sigcast.harness import forecast
 from sigcast.montecarlo import SimParams, SweepGrid, generate_path
 from sigcast.salsa import ObservationMask, SalsaParams, salsa_forecast, salsa_solve
@@ -90,6 +91,44 @@ def test_harness_forecast_presmoothed_rows(stack, horizon):
     batched = forecast("causal", stack, horizon, SMALL_CAUSAL, presmoothed=smoothed)
     for row, sm, out in zip(stack, smoothed, batched):
         assert np.array_equal(out, forecast("causal", row, horizon, SMALL_CAUSAL, presmoothed=sm))
+
+
+DEFAULT_CAUSAL = CausalParams()
+
+
+@pytest.mark.parametrize("lookahead", [False, True], ids=["smoothed_inside", "presmoothed"])
+@settings(max_examples=10, deadline=None)
+@given(
+    stack=st.integers(1, 40).flatmap(
+        lambda b: arrays(np.float64, (b, DEFAULT_CAUSAL.window_len), elements=values)
+    ),
+    horizon=st.integers(1, 10),
+)
+def test_causal_forecast_rows_default_window(lookahead, stack, horizon):
+    # Fortran-ordered, like the stacks fancy indexing along the last axis returns
+    smoothed = np.asfortranarray(moving_average(stack, 3)) if lookahead else None
+    batched = causal_forecast(stack, horizon, DEFAULT_CAUSAL, smoothed)
+    assert batched.shape == (stack.shape[0], horizon)
+    for i, row in enumerate(stack):
+        pre = None if smoothed is None else smoothed[i]
+        assert np.array_equal(batched[i], causal_forecast(row, horizon, DEFAULT_CAUSAL, pre))
+
+
+def test_causal_forecast_rows_across_row_blocks():
+    stack = np.random.default_rng(9).normal(50.0, 5.0, (600, DEFAULT_CAUSAL.window_len))
+    batched = causal_forecast(stack, 3)
+    for i in (0, 63, 64, 511, 512, 599):
+        assert np.array_equal(batched[i], causal_forecast(stack[i], 3))
+
+
+def test_causal_operator_built_once_per_params_and_horizon():
+    history = np.sin(0.1 * np.arange(1, 92))
+    sigcast.causal._operator.cache_clear()
+    first = causal_forecast(history, 4)
+    second = causal_forecast(np.stack([history, -history]), 4)
+    info = sigcast.causal._operator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(second[0], first)
 
 
 def per_trial_cell(mu, lam, n_basis, cell_index, grid, sim):

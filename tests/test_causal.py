@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigcast.causal import (
     CausalParams,
+    _operator,
     causal_fit,
     causal_forecast,
     gram_matrix,
@@ -19,6 +21,16 @@ from sigcast.causal import (
 from sigcast.series import Window
 
 SMALL = CausalParams(n_harmonics=6)  # 13 coefficients, keeps brute force cheap
+
+
+def _reference_causal_forecast(history, horizon, params=CausalParams(), presmoothed=None):
+    """The causal pipeline one window at a time: moving average, window-mean
+    centring, projection and regularized solve (causal_fit), synthesis past
+    the window and tail-mean re-centring."""
+    sm = moving_average(history, params.ma_width) if presmoothed is None else presmoothed
+    fit = causal_fit(sm, params, t_start=1)
+    k = params.window_len
+    return synthesize_causal(fit, np.arange(k + 1, k + horizon + 1), params) + fit.tail_mean
 
 
 def qstar_bruteforce(z, params, t_start):
@@ -293,6 +305,12 @@ class TestCausalForecast:
             shift = causal_forecast(hist + c, 2) - base
             assert np.max(np.abs(shift - c)) <= 1e-12 * (1 + abs(c))
 
+    def test_operator_passes_level_through(self):
+        # W 1 = 1: the fit term sees no level, and the tail mean carries it
+        w = _operator(CausalParams(nu=1e-3), 5)
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
+        assert not w.flags.writeable
+
     def test_presmoothed_window_skips_internal_smoothing(self):
         rng = np.random.default_rng(8)
         hist = rng.normal(size=91)
@@ -341,3 +359,46 @@ def test_level_equivariance_property(shift, seed):
     base = causal_forecast(hist, 3)
     shifted = causal_forecast(hist + shift, 3)
     assert np.max(np.abs(shifted - base - shift)) < 1e-9
+
+
+@st.composite
+def causal_cases(draw):
+    n_harmonics = draw(st.integers(1, 45))
+    params = CausalParams(
+        omega=draw(st.floats(1e-3, math.pi)),
+        nu=draw(st.floats(1e-3, 10.0)),
+        n_harmonics=n_harmonics,
+        ma_width=draw(st.sampled_from([w for w in (1, 3, 5, 7, 9) if w <= 2 * n_harmonics + 1])),
+    )
+    shape = (draw(st.integers(1, 5)), params.window_len)
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    history = draw(arrays(np.float64, shape, elements=values))
+    presmoothed = draw(st.none() | arrays(np.float64, shape, elements=values))
+    return params, draw(st.integers(1, 10)), history, presmoothed
+
+
+@given(case=causal_cases())
+@settings(max_examples=60, deadline=None)
+def test_operator_matches_per_window_pipeline(case):
+    """The cached operator forecasts what the per-window pipeline does.
+
+    Both apply the same linear map to the smoothed window s, in a different
+    order: the pipeline solves (R + nu*I) y = b for each window, the operator
+    solved it once for every column. A backward-stable solve is accurate to
+    about kappa * eps relative, kappa the condition number of R + nu*I (at
+    most 1 + (omega/pi)/nu <= 1001 here, since R <= (omega/pi) I), and the
+    K-term sums add up to K * eps. So the forecasts must agree to
+    K * eps * (|mean(s)| + kappa * ||s - mean(s)||), kept with a factor 4
+    margin (the worst of 3,000 random rows reached 0.31 of the bound).
+    """
+    params, horizon, history, presmoothed = case
+    got = causal_forecast(history, horizon, params, presmoothed)
+    k = params.window_len
+    kappa = np.linalg.cond(gram_matrix(Window(1, k), params) + params.nu * np.eye(k))
+    smoothed = moving_average(history, params.ma_width) if presmoothed is None else presmoothed
+    for i, row in enumerate(history):
+        pre = None if presmoothed is None else presmoothed[i]
+        want = _reference_causal_forecast(row, horizon, params, pre)
+        mean = np.mean(smoothed[i])
+        scale = abs(mean) + kappa * np.linalg.norm(smoothed[i] - mean)
+        assert np.max(np.abs(got[i] - want)) <= 4 * k * np.finfo(float).eps * scale

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import sigcast.harness
 from sigcast.baselines import linear_forecast
 from sigcast.causal import causal_forecast
 from sigcast.cli import main
@@ -109,6 +110,29 @@ class TestForecast:
         assert run("forecast", "--input", str(src), "--column", "value",
                    "--method", "linear", "--output-dir", str(tmp_path / "out")) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["salsa", "causal", "linear"])
+    def test_nonfinite_forecast_is_failure(self, tmp_path, capsys, method):
+        src = tmp_path / "huge.csv"
+        write_series_csv(src, 1.5e308 * (-1.0) ** np.arange(120))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = run("forecast", "--input", str(src), "--column", "value",
+                       "--method", method, "--output-dir", str(out))
+        assert code == 1
+        assert f"{method} forecast is not finite" in capsys.readouterr().err
+        assert not (out / "forecast.txt").exists()
+
+    def test_arithmetic_error_is_failure(self, tmp_path, capsys, monkeypatch):
+        def failed_solve(*args, **kwargs):
+            raise ArithmeticError("regularized solve residual 1.0e+00 exceeds 1e-8 * ||b||")
+
+        monkeypatch.setattr(sigcast.harness, "causal_forecast", failed_solve)
+        src = tmp_path / "input.csv"
+        write_series_csv(src, np.arange(100.0))
+        assert run("forecast", "--input", str(src), "--column", "value",
+                   "--method", "causal", "--output-dir", str(tmp_path / "out")) == 1
+        assert "regularized solve residual" in capsys.readouterr().err
 
     def test_window_longer_than_series_is_validation_error(self, tmp_path):
         src = tmp_path / "short.csv"

@@ -97,6 +97,31 @@ class TestRunExperiment:
         assert result.failures["linear"] == []
         assert result.residuals["linear"] is not None
 
+    @pytest.mark.parametrize("method", ["causal", "salsa", "linear"])
+    def test_nonfinite_forecasts_are_failures(self, method):
+        # finite history whose forecasts overflow: every window fails, none is scored
+        series = TimeSeries(values=1.5e308 * (-1.0) ** np.arange(200))
+        with np.errstate(all="ignore"):
+            result = run_experiment(series, ExperimentConfig(horizon=5, methods=(method,)))
+        assert result.failures[method] == list(range(result.n_windows))
+        assert np.all(np.isnan(result.tracks[method]))
+        assert result.residuals[method] is None and result.track_stats[method] is None
+
+    def test_nonfinite_rows_fail_only_their_windows(self, monkeypatch):
+        def linear_with_bad_rows(history, horizon, params):
+            out = np.ones((len(history), horizon))
+            out[1, 0], out[3, -1] = np.inf, np.nan
+            return out
+
+        monkeypatch.setattr(sigcast.harness, "linear_forecast", linear_with_bad_rows)
+        series = generate_path(SimParams(length=120, seed=9))
+        result = run_experiment(series, ExperimentConfig(horizon=3, methods=("linear",)))
+        assert result.failures["linear"] == [1, 3]
+        windows = result.tracks["linear"].reshape(result.n_windows, 3)
+        assert np.all(np.isnan(windows[[1, 3]]))
+        assert np.all(np.delete(windows, [1, 3], axis=0) == 1.0)
+        assert result.residuals["linear"].n_points == 3 * (result.n_windows - 2)
+
     def test_unexpected_exception_propagates(self, monkeypatch):
         # a TypeError is a bug, not a failed window
         monkeypatch.setattr(sigcast.harness, "linear_forecast", _raise(TypeError))
