@@ -145,25 +145,19 @@ def qstar(z, params: CausalParams, t_start: int = 0) -> np.ndarray:
     return (params.omega / np.pi) * (s_mat.T @ z)
 
 
-@lru_cache(maxsize=32)
-def _gram_cached(q: int, s: int, n_harmonics: int, omega: float) -> np.ndarray:
-    t = np.arange(q, s + 1, dtype=float)
-    s_mat = _sinc_design(t, n_harmonics, omega)
-    prod = (omega / np.pi) ** 2 * (s_mat.T @ s_mat)
-    # mirror the upper triangle so the result is bitwise symmetric
-    gram = np.triu(prod) + np.triu(prod, 1).T
-    gram.flags.writeable = False
-    return gram
-
-
 def gram_matrix(window: Window, params: CausalParams) -> np.ndarray:
     """Gram matrix R_km of the sinc harmonics over the window's time axis.
 
-    Symmetric by construction (one triangle computed and mirrored) and
-    positive semidefinite. Cached per (window, harmonics, omega); the
+    Symmetric by construction (one triangle computed and mirrored, so R
+    equals its transpose bit for bit) and positive semidefinite. The
     returned array is read-only.
     """
-    return _gram_cached(window.q, window.s, params.n_harmonics, params.omega)
+    t = np.arange(window.q, window.s + 1, dtype=float)
+    s_mat = _sinc_design(t, params.n_harmonics, params.omega)
+    prod = (params.omega / np.pi) ** 2 * (s_mat.T @ s_mat)
+    gram = np.triu(prod) + np.triu(prod, 1).T
+    gram.flags.writeable = False
+    return gram
 
 
 def regularized_solve(gram, nu: float, b) -> np.ndarray:

@@ -35,7 +35,7 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .ingest import MISSING_POLICIES, CsvSpec, read_csv_column, write_csv
+from .ingest import MISSING_POLICIES, CsvSpec, csv_text, read_csv_column, write_csv
 from .montecarlo import SimParams, SweepGrid, SweepTable, generate_path, run_sweep
 from .salsa import SalsaParams, salsa_forecast  # noqa: F401
 
@@ -186,13 +186,14 @@ def cmd_forecast(args) -> int:
         "horizon": args.horizon,
         "params": dataclasses.asdict(params),
     }
+    values = values.tolist()
     if args.format == "json":
-        text = json.dumps(dict(meta, forecast=[float(v) for v in values]), indent=2) + "\n"
+        text = json.dumps(dict(meta, forecast=values), indent=2) + "\n"
     else:
-        lines = [repr(float(v)) for v in values]
         if args.format == "csv":
-            lines = ["step,value"] + [f"{j + 1},{v}" for j, v in enumerate(lines)]
-        text = "\n".join(lines) + "\n"
+            text = csv_text(["step", "value"], enumerate(values, 1))
+        else:
+            text = "\n".join(map(repr, values)) + "\n"
         (out / "forecast_params.json").write_text(json.dumps(meta, indent=2) + "\n")
     (out / f"forecast.{FORMATS[args.format]}").write_text(text)
     return 0
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="generate a synthetic AR path as CSV",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    _add_io_options(sim, with_input=False)
+    sim.add_argument("--output-dir", default=".", help="directory for output files")
     sim.add_argument("--length", type=int, required=True, help="number of samples")
     _add_ar_options(sim)
     sim.add_argument("--seed", type=int, default=None, help="RNG seed (printed if omitted)")

@@ -8,8 +8,6 @@ against the raw truth over the same span.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -19,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import LinearParams, linear_forecast
 from .causal import CausalParams, causal_forecast, moving_average
+from .ingest import csv_text
 from .salsa import SalsaParams, salsa_forecast
 from .series import (
     ResidualReport,
@@ -246,14 +245,7 @@ def render_report(result: ExperimentResult, fmt: str = "text") -> str:
         return "\n".join([meta] + lines) + "\n"
 
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row]
-            )
-        return buf.getvalue()
+        return csv_text(header, rows)
 
     if fmt == "json":
         payload = {
@@ -282,14 +274,9 @@ def render_plot_csv(result: ExperimentResult) -> str:
     cells.
     """
     methods = result.config.methods
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "raw", "smoothed"] + list(methods))
-    smoothed = result.smoothed_series
-    for i, idx in enumerate(result.target_indices):
-        row = [int(idx), repr(float(result.truth_track[i])), repr(float(smoothed[idx]))]
-        for m in methods:
-            v = result.tracks[m][i]
-            row.append("" if np.isnan(v) else repr(float(v)))
-        writer.writerow(row)
-    return buf.getvalue()
+    idx = result.target_indices
+    columns = [idx.tolist(), result.truth_track.tolist(), result.smoothed_series[idx].tolist()]
+    for m in methods:
+        track = result.tracks[m]
+        columns.append(np.where(np.isnan(track), None, track).tolist())
+    return csv_text(["index", "raw", "smoothed", *methods], zip(*columns))

@@ -3,7 +3,8 @@
 One numeric column is pulled out of an RFC-4180-style CSV into a
 :class:`TimeSeries`. Ordering is taken from row order; dates are never
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
-handled by the configured policy.
+handled by the configured policy. :func:`csv_text` is the one writer of
+every CSV table sigcast produces.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import csv
+import io
 import math
 import numpy as np
 
@@ -112,10 +114,21 @@ def read_csv_column(spec: CsvSpec) -> TimeSeries:
     return TimeSeries(values=np.array(values))
 
 
+def csv_text(header, rows) -> str:
+    """Every CSV table sigcast writes, as text.
+
+    Python floats become their shortest round-trip repr, None an empty
+    cell, and lines end in "\\n". Pass Python scalars (``.tolist()``), not
+    numpy ones, so the repr is Python's.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_csv(series: TimeSeries, path: str | Path, value_header: str = "value") -> None:
     """Write index/value rows at full precision; read back with read_csv_column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", value_header])
-        for i, v in enumerate(series.values):
-            writer.writerow([i, repr(float(v))])
+    text = csv_text(["index", value_header], enumerate(series.values.tolist()))
+    Path(path).write_text(text, newline="")

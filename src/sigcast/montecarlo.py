@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ingest import csv_text
 from .salsa import SalsaParams, salsa_forecast
 from .series import TimeSeries
 
@@ -139,13 +140,10 @@ class SweepTable:
     rows: list[SweepRow]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            mean = "" if row.mean_residual_per_point is None else repr(row.mean_residual_per_point)
-            writer.writerow([repr(row.mu), repr(row.lam), row.n_basis, mean, row.trials_run])
-        return buf.getvalue()
+        return csv_text(
+            CSV_HEADER,
+            ((r.mu, r.lam, r.n_basis, r.mean_residual_per_point, r.trials_run) for r in self.rows),
+        )
 
     def to_json(self) -> str:
         payload = [
@@ -165,28 +163,31 @@ class SweepTable:
     def from_csv(cls, text: str) -> "SweepTable":
         """Parse what :meth:`to_csv` wrote; a malformed row raises ValueError."""
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected sweep table header: {header}")
         rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            try:
-                mu, lam, n_basis, mean, trials_run = rec
-                row = SweepRow(
-                    mu=float(mu),
-                    lam=float(lam),
-                    n_basis=int(n_basis),
-                    mean_residual_per_point=float(mean) if mean != "" else None,
-                    trials_run=int(trials_run),
-                    error=None if mean != "" else "failure recorded in table",
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"malformed sweep table row at line {reader.line_num}: {','.join(rec)!r}"
-                ) from exc
-            rows.append(row)
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected sweep table header: {header}")
+            for rec in reader:
+                if not rec:
+                    continue
+                try:
+                    mu, lam, n_basis, mean, trials_run = rec
+                    row = SweepRow(
+                        mu=float(mu),
+                        lam=float(lam),
+                        n_basis=int(n_basis),
+                        mean_residual_per_point=float(mean) if mean != "" else None,
+                        trials_run=int(trials_run),
+                        error=None if mean != "" else "failure recorded in table",
+                    )
+                except ValueError as exc:
+                    raise ValueError(
+                        f"malformed sweep table row at line {reader.line_num}: {','.join(rec)!r}"
+                    ) from exc
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"malformed sweep table row at line {reader.line_num}: {exc}") from exc
         return cls(rows=rows)
 
 

@@ -163,6 +163,8 @@ class TestGramMatrix:
             assert np.linalg.eigvalsh(gram).min() >= -1e-10
 
     def test_cache_returns_consistent_values(self):
+        # gram_matrix has no cache of its own; this checks that two builds
+        # of the same window give the same bits.
         a = gram_matrix(Window(1, 20), SMALL)
         b = gram_matrix(Window(1, 20), SMALL)
         assert np.array_equal(a, b)

@@ -44,6 +44,12 @@ class TestSimulate:
         assert run("simulate", "--length", "10", "--output-dir", str(tmp_path)) == 0
         assert "seed:" in capsys.readouterr().err
 
+    def test_format_option_is_usage_error(self, tmp_path, capsys):
+        assert run("simulate", "--length", "10", "--seed", "1", "--format", "json",
+                   "--output-dir", str(tmp_path)) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
 
 class TestForecast:
     def test_constant_series_linear(self, tmp_path):
@@ -54,7 +60,7 @@ class TestForecast:
                    "--method", "linear", "--window", "20", "--horizon", "4",
                    "--format", "csv", "--output-dir", str(out))
         assert code == 0
-        rows = list(csv.reader((out / "forecast.csv").open()))
+        rows = list(csv.reader((out / "forecast.csv").read_text().splitlines()))
         assert rows[0] == ["step", "value"]
         assert [float(r[1]) for r in rows[1:]] == [6.5] * 4
         meta = json.loads((out / "forecast_params.json").read_text())
@@ -83,7 +89,7 @@ class TestForecast:
                    "--method", method, "--window", "91", "--horizon", "10",
                    "--format", "csv", "--output-dir", str(out))
         assert code == 0
-        rows = list(csv.reader((out / "forecast.csv").open()))
+        rows = list(csv.reader((out / "forecast.csv").read_text().splitlines()))
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, library(tone[:91], 10))
 
@@ -100,7 +106,7 @@ class TestForecast:
         assert run("forecast", "--input", str(src), *column, "--method", "linear",
                    "--window", "6", "--horizon", "2", "--format", "csv",
                    "--output-dir", str(out)) == 0
-        rows = list(csv.reader((out / "forecast.csv").open()))
+        rows = list(csv.reader((out / "forecast.csv").read_text().splitlines()))
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, linear_forecast(np.array(closes), 2))
 
@@ -288,6 +294,18 @@ class TestSweep:
                    "--output-dir", str(out)) == 1
         err = capsys.readouterr().err
         assert "line 2" in err
+        assert "Traceback" not in err
+
+    def test_resume_malformed_csv_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        header = "mu,lambda,n_basis,mean_residual_per_point,trials_run\n"
+        (out / "sweep.csv").write_text(header + "0.5,1.0,20," + "9" * 200_000 + ",1\n")
+        assert run("sweep", "--mu-values", "0.5", "--trials", "1", "--window", "10",
+                   "--horizon", "2", "--seed", "9", "--resume",
+                   "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "malformed sweep table row at line 2" in err
         assert "Traceback" not in err
 
     def test_resume_without_seed_is_validation_error(self, tmp_path):
