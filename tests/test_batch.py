@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sigcast.causal
-import sigcast.montecarlo
 from sigcast.baselines import LinearParams, linear_forecast
 from sigcast.causal import CausalParams, causal_forecast, moving_average
 from sigcast.harness import forecast
-from sigcast.montecarlo import SimParams, SweepGrid, generate_path
-from sigcast.salsa import ObservationMask, SalsaParams, salsa_forecast, salsa_solve
+from sigcast.montecarlo import SimParams, SweepGrid, generate_path, run_sweep
+from sigcast.salsa import (
+    ObservationMask,
+    SalsaParams,
+    salsa_forecast,
+    salsa_solve,
+    soft_threshold,
+)
 
 values = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -51,6 +56,90 @@ def test_salsa_cost_trace_rows(stack, n_observed):
         single = salsa_solve(row, mask, SMALL_SALSA)
         assert np.array_equal(c, single.c)
         assert np.array_equal(cost, single.cost_history)
+
+
+# 1 to 5 SalsaParams like SMALL_SALSA, each with its own mu, lam and threshold scale
+per_row_params = st.lists(
+    st.builds(
+        SalsaParams,
+        mu=st.floats(0.05, 5.0),
+        lam=st.floats(0.0, 5.0),
+        n_basis=st.just(SMALL_SALSA.n_basis),
+        n_iter=st.just(SMALL_SALSA.n_iter),
+        threshold_scale=st.floats(0.1, 2.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), params=per_row_params, horizon=st.integers(1, 8))
+def test_salsa_forecast_rows_own_params(data, params, horizon):
+    k = data.draw(st.integers(1, 40))
+    stack = data.draw(arrays(np.float64, (len(params), k), elements=values))
+    batched = salsa_forecast(stack, horizon, params)
+    assert batched.shape == (len(params), horizon)
+    for row, p, out in zip(stack, params, batched):
+        assert np.array_equal(out, salsa_forecast(row, horizon, p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), params=per_row_params)
+def test_salsa_solve_rows_own_params(data, params):
+    m_len = data.draw(st.integers(2, 40))
+    stack = data.draw(arrays(np.float64, (len(params), m_len), elements=values))
+    mask = ObservationMask.prefix(data.draw(st.integers(1, m_len)), m_len)
+    batched = salsa_solve(stack, mask, params)
+    for row, p, c, cost in zip(stack, params, batched.c, batched.cost_history):
+        single = salsa_solve(row, mask, p)
+        assert np.array_equal(c, single.c)
+        assert np.array_equal(cost, single.cost_history)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        SalsaParams(n_basis=64, n_iter=30),
+        SalsaParams(n_basis=48, n_iter=31),
+        SalsaParams(n_basis=48, n_iter=30, cost_tol=1e-6),
+    ],
+    ids=["n_basis", "n_iter", "cost_tol"],
+)
+def test_stacked_params_must_share_solve_shape(other):
+    stack = np.ones((2, 10))
+    with pytest.raises(ValueError, match="must share"):
+        salsa_forecast(stack, 2, [SMALL_SALSA, other])
+    with pytest.raises(ValueError, match="must share"):
+        salsa_solve(stack, ObservationMask.prefix(8, 10), [SMALL_SALSA, other])
+
+
+def test_one_params_per_row():
+    with pytest.raises(ValueError, match="one SalsaParams per row"):
+        salsa_forecast(np.ones((3, 10)), 2, [SMALL_SALSA, SMALL_SALSA])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    x=st.integers(1, 5).flatmap(
+        lambda b: arrays(
+            complex,
+            (b, 12),
+            elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        )
+    ),
+    data=st.data(),
+)
+def test_soft_threshold_column_rows(x, data):
+    column = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=len(x), max_size=len(x))))
+    batched = soft_threshold(x, column[:, None])
+    for row, t, out in zip(x, column, batched):
+        assert np.array_equal(out, soft_threshold(row, float(t)))
+
+
+def test_soft_threshold_column_rejects_negative_entry():
+    with pytest.raises(ValueError):
+        soft_threshold(np.ones((3, 4)), np.array([[1.0], [-0.5], [2.0]]))
 
 
 @pytest.mark.parametrize(
@@ -143,10 +232,18 @@ def per_trial_cell(mu, lam, n_basis, cell_index, grid, sim):
     return total / (grid.trials * grid.horizon)
 
 
-def test_run_cell_matches_per_trial_loop():
-    grid = SweepGrid(mu_values=(0.6,), n_basis_values=(64,), trials=24, horizon=5, window=40)
+def test_run_cell_matches_per_trial_loop(monkeypatch):
+    # 3 cells x 9 trials: at 2 workers the two row blocks split the middle
+    # cell, once blocks that small may have a worker
+    import sigcast.montecarlo
+
+    monkeypatch.setattr(sigcast.montecarlo, "MIN_BLOCK_ROWS", 1)
+    grid = SweepGrid(
+        mu_values=(0.2, 0.6, 1.5), n_basis_values=(64,), trials=9, horizon=5, window=40
+    )
     sim = SimParams(length=45, seed=2718)
-    row = sigcast.montecarlo._run_cell((0.6, 1.0, 64, 3, grid, sim))
-    assert row.error is None
-    assert row.trials_run == 24
-    assert row.mean_residual_per_point == per_trial_cell(0.6, 1.0, 64, 3, grid, sim)
+    want = [per_trial_cell(*cell, i, grid, sim) for i, cell in enumerate(grid.cells())]
+    for threads in (1, 2):
+        table = run_sweep(grid, sim, threads=threads)
+        assert [(row.error, row.trials_run) for row in table.rows] == [(None, 9)] * 3
+        assert [row.mean_residual_per_point for row in table.rows] == want

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -73,12 +75,32 @@ class TestRunSweep:
         b = run_sweep(grid, sim)
         assert a.to_csv() == b.to_csv()
 
-    def test_thread_count_does_not_change_results(self):
-        grid = SweepGrid(mu_values=(0.5, 1.0, 2.0), **FAST_GRID)
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # 5 cells x 4 trials: row blocks of 10/10 at 2 workers and 6/7/7 at 3
+        # both end inside a cell, once blocks that small may have a worker
+        import sigcast.montecarlo
+
+        monkeypatch.setattr(sigcast.montecarlo, "MIN_BLOCK_ROWS", 1)
+        grid = SweepGrid(mu_values=(0.5, 1.0, 2.0, 0.3, 1.5), trials=4, horizon=3, window=40)
         sim = SimParams(length=43, seed=11)
         serial = run_sweep(grid, sim, threads=1)
-        parallel = run_sweep(grid, sim, threads=2)
-        assert serial.to_csv() == parallel.to_csv()
+        for threads in (2, 3):
+            seen = []
+            parallel = run_sweep(grid, sim, threads=threads, on_row=seen.append)
+            assert parallel.to_csv() == serial.to_csv()
+            assert parallel.to_json() == serial.to_json()
+            assert seen == parallel.rows
+
+    def test_small_runs_stay_in_one_block(self):
+        from sigcast.montecarlo import _blocks
+        from sigcast.salsa import SalsaParams
+
+        params = SalsaParams(n_basis=200)
+        rows = [(cell, trial, params) for cell in range(32) for trial in range(2)]
+        assert [len(b) for b in _blocks(rows[:20], threads=2)] == [20]
+        assert [len(b) for b in _blocks(rows, threads=2)] == [32, 32]
+        assert [len(b) for b in _blocks(rows, threads=3)] == [32, 32]
+        assert [len(b) for b in _blocks(rows * 5, threads=1)] == [160, 160]
 
     def test_rows_follow_grid_order(self):
         grid = SweepGrid(mu_values=(0.1, 0.2, 0.3), **FAST_GRID)
@@ -110,6 +132,46 @@ class TestRunSweep:
         table = run_sweep(grid, sim)
         assert table.rows[0].error is not None
         assert table.rows[1].error is None
+
+    def test_n_basis_too_small_fails_only_its_cells(self):
+        # one worker: had the two n_basis shared a block, the whole block would fail
+        grid = SweepGrid(mu_values=(0.5, 1.0), n_basis_values=(16, 64), **FAST_GRID)
+        table = run_sweep(grid, SimParams(length=43, seed=2))
+        for row in table.rows:
+            if row.n_basis == 16:
+                assert row.error == "history + horizon = 43 exceeds n_basis 16"
+                assert row.mean_residual_per_point is None
+            else:
+                assert row.error is None
+                assert np.isfinite(row.mean_residual_per_point)
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("non_finite", "masked signal must be finite"), ("overflow", "range exceeds bounds")],
+    )
+    def test_bad_path_fails_only_its_cell(self, monkeypatch, fault, error):
+        import sigcast.montecarlo
+
+        real = sigcast.montecarlo.generate_path
+
+        def one_bad_path(params, rng_seed=None):
+            path = real(params, rng_seed=rng_seed)
+            if rng_seed.entropy[1:] != (1, 1):  # cell 1, trial 1
+                return path
+            if fault == "overflow":
+                raise OverflowError(error)
+            values = path.values.copy()
+            values[5] = np.inf
+            return SimpleNamespace(values=values)
+
+        grid = SweepGrid(mu_values=(0.5, 1.0, 2.0), **FAST_GRID)
+        sim = SimParams(length=43, seed=2)
+        clean = run_sweep(grid, sim)
+        monkeypatch.setattr(sigcast.montecarlo, "generate_path", one_bad_path)
+        table = run_sweep(grid, sim)
+        assert table.rows[1].error == error
+        assert table.rows[1].mean_residual_per_point is None
+        assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         # a TypeError is a bug, not a failed cell
