@@ -32,10 +32,13 @@ class LinearParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
-    @property
-    def min_history(self) -> int:
-        """Shortest history the variant can extrapolate from."""
-        return self.lookback + 1 if self.variant == "two_point_span" else 2
+    def check_window(self, window: int, horizon: int) -> None:
+        """Raise ValueError unless the variant can extrapolate from `window` samples."""
+        need = self.lookback + 1 if self.variant == "two_point_span" else 2
+        if window < need:
+            raise ValueError(
+                f"linear needs a window of at least {need}; got window {window}, horizon {horizon}"
+            )
 
 
 def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()) -> np.ndarray:
@@ -48,11 +51,7 @@ def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()
         raise ValueError("history must have shape (K,) or (B, K)")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if hist.shape[-1] < params.min_history:
-        raise ValueError(
-            f"{params.variant} needs at least {params.min_history} samples, "
-            f"have {hist.shape[-1]}"
-        )
+    params.check_window(hist.shape[-1], horizon)
     if params.variant == "two_point_span":
         slope = (hist[..., -1] - hist[..., -1 - params.lookback]) / params.lookback
     else:

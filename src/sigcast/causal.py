@@ -77,6 +77,14 @@ class CausalParams:
         """History length the forecasting pipeline expects (2N+1)."""
         return 2 * self.n_harmonics + 1
 
+    def check_window(self, window: int, horizon: int) -> None:
+        """Raise ValueError unless `window` is the 2N+1 samples the pipeline expects."""
+        if window != self.window_len:
+            raise ValueError(
+                f"causal needs a window of 2*n_harmonics+1 = {self.window_len}; "
+                f"got window {window}, horizon {horizon}"
+            )
+
 
 @dataclass(frozen=True)
 class CausalCoefficients:
@@ -197,11 +205,11 @@ def synthesize_causal(coeffs: CausalCoefficients, t_range, params: CausalParams)
     return (params.omega / np.pi) * (s_mat @ coeffs.y)
 
 
-def causal_fit(smoothed, params: CausalParams, t_start: int = 1) -> CausalCoefficients:
+def causal_fit(smoothed, params: CausalParams) -> CausalCoefficients:
     """Fit spectral weights to an already-smoothed window.
 
     Subtracts the window mean, projects with :func:`qstar` on the local time
-    axis t = t_start.., and solves the regularized Gram system.
+    axis t = 1.., and solves the regularized Gram system.
     """
     sm = np.asarray(smoothed, dtype=float)
     if sm.ndim != 1 or sm.size < TAIL_MEAN_SAMPLES:
@@ -209,8 +217,8 @@ def causal_fit(smoothed, params: CausalParams, t_start: int = 1) -> CausalCoeffi
     window_mean = float(np.mean(sm))
     tail_mean = float(np.mean(sm[-TAIL_MEAN_SAMPLES:]))
     centered = sm - window_mean
-    b = qstar(centered, params, t_start=t_start)
-    gram = gram_matrix(Window(t_start, t_start + sm.size - 1), params)
+    b = qstar(centered, params, t_start=1)
+    gram = gram_matrix(Window(1, sm.size), params)
     y = regularized_solve(gram, params.nu, b)
     return CausalCoefficients(y=y, window_mean=window_mean, tail_mean=tail_mean)
 
@@ -266,16 +274,13 @@ def causal_forecast(
     emulate smoothing the full series at once.
     """
     hist = np.asarray(history, dtype=float)
-    expected = params.window_len
-    if hist.ndim not in (1, 2) or hist.shape[-1] != expected:
-        raise ValueError(
-            f"history must have exactly {expected} samples (2*n_harmonics+1) per row, "
-            f"got shape {hist.shape}"
-        )
-    if not np.all(np.isfinite(hist)):
-        raise ValueError("history must be finite")
+    if hist.ndim not in (1, 2):
+        raise ValueError("history must have shape (K,) or (B, K)")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    params.check_window(hist.shape[-1], horizon)
+    if not np.all(np.isfinite(hist)):
+        raise ValueError("history must be finite")
     if presmoothed is not None and np.shape(presmoothed) != hist.shape:
         raise ValueError("presmoothed window must match history shape")
 

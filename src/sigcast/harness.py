@@ -100,18 +100,9 @@ class ExperimentConfig:
         object.__setattr__(
             self, "methods", tuple(m for m in METHOD_ORDER if m in methods)
         )
-        # each enabled method's length precondition, so no run fails on every window
-        window, horizon = self.window_len, self.horizon
-        for method, ok, need in (
-            ("causal", window == self.causal.window_len,
-             f"a window of 2*n_harmonics+1 = {self.causal.window_len}"),
-            ("salsa", window + horizon <= self.salsa.n_basis,
-             f"window + horizon <= n_basis = {self.salsa.n_basis}"),
-            ("linear", window >= self.linear.min_history,
-             f"a window of at least {self.linear.min_history}"),
-        ):
-            if method in self.methods and not ok:
-                raise ValueError(f"{method} needs {need}; got window {window}, horizon {horizon}")
+        # each enabled method's window rule, so no run fails on every window
+        for method in self.methods:
+            getattr(self, method).check_window(self.window_len, self.horizon)
 
 
 @dataclass

@@ -128,7 +128,7 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def write_csv(series: TimeSeries, path: str | Path, value_header: str = "value") -> None:
+def write_csv(series: TimeSeries, path: str | Path) -> None:
     """Write index/value rows at full precision; read back with read_csv_column."""
-    text = csv_text(["index", value_header], enumerate(series.values.tolist()))
+    text = csv_text(["index", "value"], enumerate(series.values.tolist()))
     Path(path).write_text(text, newline="")

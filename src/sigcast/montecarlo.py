@@ -86,7 +86,13 @@ def generate_path(params: SimParams, rng_seed=None) -> TimeSeries:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Grid of SALSA hyperparameters to evaluate."""
+    """Grid of SALSA hyperparameters to evaluate.
+
+    Built only when every cell can run: each value tuple is nonempty with no
+    value repeated, and every cell's SalsaParams is valid and fits
+    `window + horizon` samples (:meth:`SalsaParams.check_window`); anything
+    else raises ValueError.
+    """
 
     mu_values: tuple
     lambda_values: tuple = (1.0,)
@@ -96,15 +102,22 @@ class SweepGrid:
     window: int = 91
 
     def __post_init__(self):
-        for name in ("mu_values", "lambda_values", "n_basis_values"):
+        # each tuple's values as cells() converts them
+        for name, kind in (
+            ("mu_values", float), ("lambda_values", float), ("n_basis_values", int)
+        ):
             vals = tuple(getattr(self, name))
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            if len(set(map(kind, vals))) != len(vals):
+                raise ValueError(f"{name} repeats a value: {vals}")
             object.__setattr__(self, name, vals)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.horizon < 1 or self.window < 1:
             raise ValueError("horizon and window must be >= 1")
+        for mu, lam, n_basis in self.cells():
+            SalsaParams(mu=mu, lam=lam, n_basis=n_basis).check_window(self.window, self.horizon)
 
     def cells(self) -> list[tuple[float, float, int]]:
         """Grid cells in row order: mu fastest within lambda within n_basis."""
@@ -267,9 +280,9 @@ def run_sweep(
 
     Every (cell, trial) pair still to run is one row, in cell-major,
     trial-minor order; rows go to SALSA in stacked blocks (see `_blocks`),
-    spread over `threads` worker processes. A cell fails, alone, when its
-    SalsaParams are invalid or any of its rows fails; otherwise its mean
-    adds its trials' squared errors in trial order.
+    spread over `threads` worker processes. A cell fails, alone, when any of
+    its rows fails; otherwise its mean adds its trials' squared errors in
+    trial order.
 
     `completed` maps (mu, lam, n_basis) keys to already-finished SweepRows
     (resume support); those cells are not re-run. `on_row` is called with
@@ -279,15 +292,10 @@ def run_sweep(
     completed = completed or {}
     cells = grid.cells()
     pending = [idx for idx, cell in enumerate(cells) if cell not in completed]
-    invalid: dict[int, str] = {}
     rows = []
     for idx in pending:
         mu, lam, n_basis = cells[idx]
-        try:
-            params = SalsaParams(mu=mu, lam=lam, n_basis=n_basis)
-        except ValueError as exc:
-            invalid[idx] = str(exc)
-            continue
+        params = SalsaParams(mu=mu, lam=lam, n_basis=n_basis)
         rows += [(idx, trial, params) for trial in range(grid.trials)]
 
     blocks = _blocks(rows, threads)
@@ -300,10 +308,8 @@ def run_sweep(
         row_results = itertools.chain.from_iterable(zip(*result) for result in mapped)
         for idx in pending:
             mu, lam, n_basis = cells[idx]
-            error = invalid.get(idx)
-            if error is None:
-                sq_err, row_errors = zip(*itertools.islice(row_results, grid.trials))
-                error = next((e for e in row_errors if e is not None), None)
+            sq_err, row_errors = zip(*itertools.islice(row_results, grid.trials))
+            error = next((e for e in row_errors if e is not None), None)
             if error is not None:
                 row = SweepRow(mu, lam, n_basis, None, 0, error=error)
             else:

@@ -72,32 +72,32 @@ class SalsaParams:
         if self.cost_tol is not None and self.cost_tol < 0:
             raise ValueError(f"cost_tol must be nonnegative, got {self.cost_tol}")
 
+    def check_window(self, window: int, horizon: int) -> None:
+        """Raise ValueError unless `window` samples and `horizon` more fit the dictionary."""
+        if window + horizon > self.n_basis:
+            raise ValueError(
+                f"salsa needs window + horizon <= n_basis = {self.n_basis}; "
+                f"got window {window}, horizon {horizon}"
+            )
+
 
 @dataclass(frozen=True)
 class ObservationMask:
-    """Which samples of a length-M signal are known."""
+    """The first n_observed samples of a length-M signal are known, the rest masked."""
 
+    n_observed: int
     total_len: int
-    observed: np.ndarray
 
     def __post_init__(self):
-        obs = np.asarray(self.observed, dtype=bool)
-        if obs.ndim != 1 or obs.size != self.total_len:
+        if not 1 <= self.n_observed <= self.total_len:
             raise ValueError(
-                f"observed must be a length-{self.total_len} boolean sequence"
+                f"n_observed must lie in [1, {self.total_len}], got {self.n_observed}"
             )
-        obs = obs.copy()
-        obs.flags.writeable = False
-        object.__setattr__(self, "observed", obs)
 
     @classmethod
     def prefix(cls, n_observed: int, total_len: int) -> "ObservationMask":
         """First n_observed samples known, the trailing ones masked."""
-        if not 0 <= n_observed <= total_len:
-            raise ValueError(f"n_observed must lie in [0, {total_len}]")
-        obs = np.zeros(total_len, dtype=bool)
-        obs[:n_observed] = True
-        return cls(total_len=total_len, observed=obs)
+        return cls(n_observed, total_len)
 
 
 @dataclass(frozen=True)
@@ -192,31 +192,35 @@ def salsa_solve(
     stack only once every row has converged). `params` is one SalsaParams for
     every row or a sequence with one per row; the rows of a sequence must
     share n_basis, n_iter and cost_tol, and each keeps its own mu, lam,
-    threshold_scale and p_norm. From c = A^H(masked), d = 0:
+    threshold_scale and p_norm. With y the first k = mask.n_observed samples
+    and A_k the first k rows of A, from c = A^H(y), d = 0:
 
         u <- soft(c + d, threshold_scale * lam / mu) - d
-        d <- A^H(masked - mask * A u) / (mu + p_norm)
+        d <- A_k^H(y - A_k u) / (mu + p_norm)
         c <- d + u
 
     When track_cost (or params.cost_tol) is set, each row's
-    ||masked - A c||_2^2 + lam * sum|c| is recorded, shape (..., iterations).
-    Unobserved positions of `masked` are forced to zero before iterating.
-    With cost_tol, iteration stops once every row's relative cost change
-    drops below it, and the trace is truncated there.
+    ||masked - A c||_2^2 + lam * sum|c| is recorded, shape (..., iterations),
+    with the unobserved positions of `masked` counted as zeros. With
+    cost_tol, iteration stops once every row's relative cost change drops
+    below it, and the trace is truncated there.
     """
     y = np.asarray(masked, dtype=complex)
     if y.ndim not in (1, 2) or y.shape[-1] != mask.total_len:
         raise ValueError(
             f"masked signal must have shape (M,) or (B, M) with M = {mask.total_len}"
         )
+    k, m_len = mask.n_observed, mask.total_len
+    shared, rows = _per_row(params, y[..., 0].size)
+    shared.check_window(k, m_len - k)
     if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
         raise ValueError("masked signal must be finite")
-    m_len = mask.total_len
-    shared, rows = _per_row(params, y[..., 0].size)
-    n_basis = shared.n_basis  # adjoint rejects m_len > n_basis
+    n_basis = shared.n_basis
 
-    obs = mask.observed.astype(float)
-    y = np.where(mask.observed, y, 0.0)
+    # the FFT zero-pads the observed prefix, so the unobserved samples never
+    # enter the iteration; the cost trace counts them as zeros
+    target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+    y = y[..., :k]
     track_cost = track_cost or shared.cost_tol is not None
 
     c = adjoint(y, n_basis)
@@ -231,10 +235,10 @@ def salsa_solve(
 
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
-        d = step * adjoint(y - obs * synthesize(u, m_len), n_basis)
+        d = step * adjoint(y - synthesize(u, k), n_basis)
         c = d + u
         if track_cost:
-            residual = y - synthesize(c, m_len)
+            residual = target - synthesize(c, m_len)
             cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + lam * np.sum(
                 np.abs(c), axis=-1
             )
@@ -264,7 +268,8 @@ def salsa_forecast(
     (the iterates do not depend on its cost trace, so it is off by default)
     and returns the real part of the synthesized masked samples, shaped
     (horizon,) or (B, horizon); row i equals the call on row i alone.
-    `params` is one SalsaParams or one per row, as in :func:`salsa_solve`.
+    `params` is one SalsaParams or one per row, as in :func:`salsa_solve`,
+    which checks the history against them (:meth:`SalsaParams.check_window`).
     """
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2) or hist.shape[-1] < 1:
@@ -273,9 +278,6 @@ def salsa_forecast(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     k = hist.shape[-1]
     m_len = k + horizon
-    n_basis = _per_row(params, hist[..., 0].size)[0].n_basis
-    if m_len > n_basis:
-        raise ValueError(f"history + horizon = {m_len} exceeds n_basis {n_basis}")
     masked = np.concatenate([hist, np.zeros(hist.shape[:-1] + (horizon,))], axis=-1)
     mask = ObservationMask.prefix(k, m_len)
     state = salsa_solve(masked, mask, params, track_cost=track_cost)

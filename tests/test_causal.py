@@ -28,7 +28,7 @@ def _reference_causal_forecast(history, horizon, params=CausalParams(), presmoot
     centring, projection and regularized solve (causal_fit), synthesis past
     the window and tail-mean re-centring."""
     sm = moving_average(history, params.ma_width) if presmoothed is None else presmoothed
-    fit = causal_fit(sm, params, t_start=1)
+    fit = causal_fit(sm, params)
     k = params.window_len
     return synthesize_causal(fit, np.arange(k + 1, k + horizon + 1), params) + fit.tail_mean
 

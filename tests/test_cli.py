@@ -321,10 +321,11 @@ class TestSweep:
         "grid, named",
         [
             (("--n-basis-values", "0"), "got 0"),
-            (("--n-basis-values", "200,20"), "n_basis 20"),
+            (("--n-basis-values", "200,20"), "n_basis = 20"),
             (("--mu-values", "0.6,0"), "got 0.0"),
+            (("--mu-values", "0.5,0.5"), "mu_values repeats a value"),
         ],
-        ids=["n_basis_zero", "n_basis_below_window", "mu_zero"],
+        ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated"],
     )
     def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
         out = tmp_path / "out"

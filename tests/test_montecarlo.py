@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigcast.montecarlo import (
     SimParams,
@@ -117,29 +119,39 @@ class TestRunSweep:
             assert row.mean_residual_per_point >= 0.0
 
     def test_cell_failure_recorded_not_fatal(self):
-        # n_basis smaller than window + horizon makes the cell invalid
-        grid = SweepGrid(mu_values=(0.6,), n_basis_values=(16,), **FAST_GRID)
-        sim = SimParams(length=43, seed=2)
-        table = run_sweep(grid, sim)
-        row = table.rows[0]
-        assert row.mean_residual_per_point is None
-        assert row.error is not None
+        # n_basis smaller than window + horizon could only fail: the grid is refused
+        with pytest.raises(ValueError, match="n_basis = 16; got window 40, horizon 3"):
+            SweepGrid(mu_values=(0.6,), n_basis_values=(16,), **FAST_GRID)
 
     def test_invalid_cell_params_recorded_not_fatal(self):
-        # mu = 0 violates the solver's parameter invariants
-        grid = SweepGrid(mu_values=(0.0, 0.6), **FAST_GRID)
-        sim = SimParams(length=43, seed=2)
-        table = run_sweep(grid, sim)
-        assert table.rows[0].error is not None
-        assert table.rows[1].error is None
+        # mu = 0 violates the solver's parameter invariants: the grid is refused
+        with pytest.raises(ValueError, match="mu must be positive"):
+            SweepGrid(mu_values=(0.0, 0.6), **FAST_GRID)
 
     def test_n_basis_too_small_fails_only_its_cells(self):
+        # one n_basis too small refuses the whole grid, not just its cells
+        with pytest.raises(ValueError, match="n_basis = 16"):
+            SweepGrid(mu_values=(0.5, 1.0), n_basis_values=(16, 64), **FAST_GRID)
+
+    def test_failed_block_fails_only_its_cells(self, monkeypatch):
         # one worker: had the two n_basis shared a block, the whole block would fail
-        grid = SweepGrid(mu_values=(0.5, 1.0), n_basis_values=(16, 64), **FAST_GRID)
-        table = run_sweep(grid, SimParams(length=43, seed=2))
+        import sigcast.montecarlo
+
+        real = sigcast.montecarlo.salsa_forecast
+
+        def fails_at_16(history, horizon, params):
+            if params[0].n_basis == 16:
+                raise ValueError("injected failure")
+            return real(history, horizon, params)
+
+        monkeypatch.setattr(sigcast.montecarlo, "salsa_forecast", fails_at_16)
+        grid = SweepGrid(mu_values=(0.5, 1.0), n_basis_values=(16, 64), trials=2, horizon=3,
+                         window=10)
+        table = run_sweep(grid, SimParams(length=13, seed=2), threads=1)
+        assert [row.n_basis for row in table.rows] == [16, 16, 64, 64]
         for row in table.rows:
             if row.n_basis == 16:
-                assert row.error == "history + horizon = 43 exceeds n_basis 16"
+                assert row.error == "injected failure"
                 assert row.mean_residual_per_point is None
             else:
                 assert row.error is None
@@ -239,3 +251,50 @@ class TestSweepGrid:
             SweepGrid(mu_values=())
         with pytest.raises(ValueError):
             SweepGrid(mu_values=(0.1,), trials=0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            dict(mu_values=(0.5, 1.0, 0.5)),
+            dict(mu_values=(0.5,), lambda_values=(1.0, 1)),
+            dict(mu_values=(0.5,), n_basis_values=(200, 100, 200)),
+        ],
+        ids=["mu_values", "lambda_values", "n_basis_values"],
+    )
+    def test_repeated_value_rejected(self, values):
+        # a repeated value would make two cells with one key, and one row of the table
+        name = next(k for k, v in values.items() if len(v) > 1)
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            SweepGrid(**values)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        window=st.integers(1, 12),
+        horizon=st.integers(1, 4),
+        mu_values=st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1, max_size=2),
+        lambda_values=st.lists(st.sampled_from([-0.5, 0.0, 2.0]), min_size=1, max_size=2),
+        n_basis_offsets=st.lists(st.integers(-2, 2), min_size=1, max_size=2),
+    )
+    def test_grid_refused_or_every_cell_runs(
+        self, window, horizon, mu_values, lambda_values, n_basis_offsets
+    ):
+        # each rule drawn on both sides: what SweepGrid accepts, run_sweep runs
+        n_basis_values = [window + horizon + offset for offset in n_basis_offsets]
+        values = (mu_values, lambda_values, n_basis_values)
+        breaks_a_rule = (
+            any(len(set(v)) < len(v) for v in values)
+            or min(mu_values) <= 0
+            or min(lambda_values) < 0
+            or min(n_basis_values) < window + horizon
+        )
+        try:
+            grid = SweepGrid(tuple(mu_values), tuple(lambda_values), tuple(n_basis_values),
+                             trials=1, horizon=horizon, window=window)
+        except ValueError:
+            assert breaks_a_rule
+            return
+        assert not breaks_a_rule
+        sim = SimParams(length=window + horizon, seed=window)
+        rows = run_sweep(grid, sim).rows
+        assert len(rows) == len(grid.cells())
+        assert all(row.error is None for row in rows)

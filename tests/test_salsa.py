@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sigcast.salsa import (
     ObservationMask,
@@ -130,6 +131,80 @@ class TestSoftThreshold:
             warnings.simplefilter("error")
             out = soft_threshold(np.array([5e-324 + 0j, 2.0]), 1.0)
         assert np.array_equal(out, [0.0, 1.0])
+
+
+def float_mask_solve(masked, n_observed, params, track_cost=True):
+    """The SALSA loop with a general observation mask, one SalsaParams for all rows.
+
+    Unobserved samples are zeroed by np.where and the loop multiplies each
+    synthesis by the float mask, as salsa_solve did before it read only the
+    observed prefix. Returns (c, cost_history).
+    """
+    y = np.asarray(masked, dtype=complex)
+    m_len = y.shape[-1]
+    observed = np.arange(m_len) < n_observed
+    obs = observed.astype(float)
+    y = np.where(observed, y, 0.0)
+    track_cost = track_cost or params.cost_tol is not None
+    thresh = params.threshold_scale * params.lam / params.mu
+    step = 1.0 / (params.mu + params.p_norm)
+    c = adjoint(y, params.n_basis)
+    d = np.zeros_like(c)
+    cost = np.empty(y.shape[:-1] + (params.n_iter if track_cost else 0,))
+    for i in range(params.n_iter):
+        u = soft_threshold(c + d, thresh) - d
+        d = step * adjoint(y - obs * synthesize(u, m_len), params.n_basis)
+        c = d + u
+        if track_cost:
+            residual = y - synthesize(c, m_len)
+            cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + params.lam * np.sum(
+                np.abs(c), axis=-1
+            )
+            if (
+                params.cost_tol is not None
+                and i > 0
+                and np.all(
+                    np.abs(cost[..., i] - cost[..., i - 1])
+                    <= params.cost_tol * np.abs(cost[..., i - 1])
+                )
+            ):
+                cost = cost[..., : i + 1]
+                break
+    return c, cost
+
+
+class TestObservationMask:
+    @pytest.mark.parametrize("n_observed", [0, 6])
+    def test_observed_prefix_within_signal(self, n_observed):
+        # at least one sample known: with none the solve would return all zeros
+        with pytest.raises(ValueError, match="n_observed must lie in"):
+            ObservationMask.prefix(n_observed, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.sampled_from([(), (1,), (3,)]),
+    m_len=st.integers(1, 30),
+    extra_basis=st.integers(0, 20),
+    mu=st.floats(0.05, 5.0),
+    lam=st.floats(0.0, 5.0),
+    n_iter=st.integers(1, 40),
+    cost_tol=st.sampled_from([None, 1e-3]),
+    track_cost=st.booleans(),
+)
+def test_prefix_loop_matches_float_mask_loop(
+    data, shape, m_len, extra_basis, mu, lam, n_iter, cost_tol, track_cost
+):
+    # the trailing samples hold nonzero values, which both loops must ignore
+    masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
+    n_observed = data.draw(st.integers(1, m_len))
+    params = SalsaParams(mu=mu, lam=lam, n_basis=m_len + extra_basis, n_iter=n_iter,
+                         cost_tol=cost_tol)
+    state = salsa_solve(masked, ObservationMask.prefix(n_observed, m_len), params, track_cost)
+    c, cost = float_mask_solve(masked, n_observed, params, track_cost)
+    assert np.array_equal(state.c, c)
+    assert np.array_equal(state.cost_history, cost)
 
 
 class TestSalsaSolve:
