@@ -74,18 +74,17 @@ def _parse_grid_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _add_io_options(sub, with_input=True):
-    if with_input:
-        sub.add_argument("--input", required=True, help="input CSV path")
-        sub.add_argument(
-            "--column", default="1",
-            help="1-based column index or header name of the value column",
-        )
-        sub.add_argument("--skip-header", action="store_true", help="skip the first row")
-        sub.add_argument(
-            "--missing-policy", choices=MISSING_POLICIES, default="drop",
-            help="how to treat missing cells",
-        )
+def _add_io_options(sub):
+    sub.add_argument("--input", required=True, help="input CSV path")
+    sub.add_argument(
+        "--column", default="1",
+        help="1-based column index or header name of the value column",
+    )
+    sub.add_argument("--skip-header", action="store_true", help="skip the first row")
+    sub.add_argument(
+        "--missing-policy", choices=MISSING_POLICIES, default="drop",
+        help="how to treat missing cells",
+    )
     sub.add_argument("--output-dir", default=".", help="directory for output files")
     sub.add_argument("--format", choices=FORMATS, default="text", help="report format")
 
@@ -255,8 +254,7 @@ def cmd_sweep(args) -> int:
     table = run_sweep(grid, sim, threads=args.threads, completed=completed, on_row=persist)
     # canonical grid-order rewrite (identical bytes for any worker count)
     _write_atomic(csv_path, table.to_csv())
-    if args.format == "json":
-        (out / "sweep.json").write_text(table.to_json())
+    (out / "sweep.json").write_text(table.to_json())
     return 0
 
 
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="Monte Carlo grid sweep of the SALSA hyperparameters",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    _add_io_options(sw, with_input=False)
+    sw.add_argument("--output-dir", default=".", help="directory for output files")
     sw.add_argument("--mu-values", default="0.1:2.0:0.1", help="comma list or start:stop:step")
     sw.add_argument("--lambda-values", default="1", help="comma list or start:stop:step")
     sw.add_argument("--n-basis-values", default="200", help="comma list or start:stop:step")

@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -43,9 +44,9 @@ class SimParams:
     """AR path generator settings.
 
     length    : number of samples (>= 2)
-    a_low/high: uniform bounds for the AR coefficient A(t)
-    noise_std : Gaussian noise scale (> 0)
-    offset    : constant level added to every sample
+    a_low/high: uniform bounds for the AR coefficient A(t); a_high - a_low finite
+    noise_std : Gaussian noise scale (> 0, finite)
+    offset    : constant level added to every sample (finite)
     seed      : RNG seed; doubles as the sweep master seed
     """
 
@@ -61,8 +62,12 @@ class SimParams:
             raise ValueError(f"length must be >= 2, got {self.length}")
         if self.a_low > self.a_high:
             raise ValueError(f"a_low {self.a_low} exceeds a_high {self.a_high}")
-        if not self.noise_std > 0:
-            raise ValueError(f"noise_std must be positive, got {self.noise_std}")
+        if not math.isfinite(self.a_high - self.a_low):
+            raise ValueError(f"a_high - a_low must be finite, got {self.a_high} - {self.a_low}")
+        if not 0 < self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be positive and finite, got {self.noise_std}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -236,10 +241,10 @@ def _blocks(rows: list, threads: int) -> list[list]:
 def _run_block(args) -> tuple[np.ndarray, list]:
     """Forecast a block of (cell index, trial, params) rows in one stacked SALSA call.
 
-    Returns each row's sum of squared forecast errors and its error text
-    (None for a row that ran). A ValueError/ArithmeticError of its path (AR
-    bounds too wide, say) or a non-finite history fails its own row; one of
-    the stacked call fails every row it was given.
+    Returns each row's sum of squared forecast errors (NaN for a row that did
+    not run) and its error text (None unless something raised). A
+    ValueError/ArithmeticError of its path fails its own row; one of the
+    stacked call fails every row it was given.
     """
     rows, grid, sim = args
     path_params = replace(sim, length=grid.window + grid.horizon)
@@ -251,21 +256,17 @@ def _run_block(args) -> tuple[np.ndarray, list]:
             paths[i] = generate_path(path_params, rng_seed=seed).values
         except (ValueError, ArithmeticError) as exc:
             errors[i] = str(exc)
-    history, truth = paths[:, : grid.window], paths[:, grid.window :]
-    finite = np.isfinite(history).all(axis=1)
-    errors = [
-        error or (None if ok else "masked signal must be finite")
-        for error, ok in zip(errors, finite)
-    ]
+    ran = np.isfinite(paths).all(axis=1)
     sq_err = np.full(len(rows), np.nan)
-    if finite.any():
-        params = [p for (_, _, p), ok in zip(rows, finite) if ok]
+    if ran.any():
+        params = [p for (_, _, p), ok in zip(rows, ran) if ok]
         try:
-            fc = salsa_forecast(history[finite], grid.horizon, params)
+            fc = salsa_forecast(paths[ran, : grid.window], grid.horizon, params)
         except (ValueError, ArithmeticError) as exc:
             errors = [error or str(exc) for error in errors]
         else:
-            sq_err[finite] = np.sum((fc - truth[finite]) ** 2, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq_err[ran] = np.sum((fc - paths[ran, grid.window :]) ** 2, axis=1)
     return sq_err, errors
 
 
@@ -280,9 +281,10 @@ def run_sweep(
 
     Every (cell, trial) pair still to run is one row, in cell-major,
     trial-minor order; rows go to SALSA in stacked blocks (see `_blocks`),
-    spread over `threads` worker processes. A cell fails, alone, when any of
-    its rows fails; otherwise its mean adds its trials' squared errors in
-    trial order.
+    spread over `threads` worker processes. A cell's mean adds its trials'
+    squared errors in trial order. A cell whose total is not finite (a row
+    that raised or a forecast that is not finite, say) has failed, alone,
+    with the error text of its first row that raised, if any.
 
     `completed` maps (mu, lam, n_basis) keys to already-finished SweepRows
     (resume support); those cells are not re-run. `on_row` is called with
@@ -309,13 +311,15 @@ def run_sweep(
         for idx in pending:
             mu, lam, n_basis = cells[idx]
             sq_err, row_errors = zip(*itertools.islice(row_results, grid.trials))
-            error = next((e for e in row_errors if e is not None), None)
-            if error is not None:
-                row = SweepRow(mu, lam, n_basis, None, 0, error=error)
-            else:
-                # cumsum adds the per-trial errors one after another in trial order
+            # cumsum adds the per-trial errors one after another in trial order
+            with np.errstate(over="ignore", invalid="ignore"):
                 total = float(np.cumsum(sq_err)[-1])
+            if np.isfinite(total):
                 row = SweepRow(mu, lam, n_basis, total / (grid.trials * grid.horizon), grid.trials)
+            else:
+                not_finite = "squared forecast error is not finite"
+                error = next((e for e in row_errors if e is not None), not_finite)
+                row = SweepRow(mu, lam, n_basis, None, 0, error=error)
             fresh[row.key] = row
             if on_row is not None:
                 on_row(row)

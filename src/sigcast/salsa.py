@@ -57,7 +57,7 @@ class SalsaParams:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be positive, got {self.n_basis}")
@@ -69,7 +69,7 @@ class SalsaParams:
             object.__setattr__(self, "p_norm", float(self.n_basis))
         elif not self.p_norm > 0:
             raise ValueError(f"p_norm must be positive, got {self.p_norm}")
-        if self.cost_tol is not None and self.cost_tol < 0:
+        if self.cost_tol is not None and not self.cost_tol >= 0:
             raise ValueError(f"cost_tol must be nonnegative, got {self.cost_tol}")
 
     def check_window(self, window: int, horizon: int) -> None:

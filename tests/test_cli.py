@@ -44,6 +44,12 @@ class TestSimulate:
         assert run("simulate", "--length", "10", "--output-dir", str(tmp_path)) == 0
         assert "seed:" in capsys.readouterr().err
 
+    def test_params_failing_every_path_are_validation_error(self, tmp_path, capsys):
+        assert run("simulate", "--length", "10", "--seed", "1", "--a-high", "inf",
+                   "--output-dir", str(tmp_path)) == 1
+        assert "a_high - a_low must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
     def test_format_option_is_usage_error(self, tmp_path, capsys):
         assert run("simulate", "--length", "10", "--seed", "1", "--format", "json",
                    "--output-dir", str(tmp_path)) == 1
@@ -324,8 +330,11 @@ class TestSweep:
             (("--n-basis-values", "200,20"), "n_basis = 20"),
             (("--mu-values", "0.6,0"), "got 0.0"),
             (("--mu-values", "0.5,0.5"), "mu_values repeats a value"),
+            (("--lambda-values", "nan"), "lam must be nonnegative, got nan"),
+            (("--a-high", "inf"), "a_high - a_low must be finite"),
         ],
-        ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated"],
+        ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated", "lambda_nan",
+             "a_high_inf"],
     )
     def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
         out = tmp_path / "out"
@@ -337,10 +346,33 @@ class TestSweep:
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"
         assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
-                   "--horizon", "2", "--seed", "9", "--format", "json",
-                   "--output-dir", str(out)) == 0
+                   "--horizon", "2", "--seed", "9", "--output-dir", str(out)) == 0
         payload = json.loads((out / "sweep.json").read_text())
         assert payload[0]["mu"] == 0.6
+        assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.6,1.0,200,")
+
+    def test_format_option_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
+                   "--horizon", "2", "--seed", "9", "--format", "json",
+                   "--output-dir", str(out)) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_non_finite_cells_fail_in_both_files(self, tmp_path):
+        # paths near 1e307: every forecast's squared error overflows
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run("sweep", "--mu-values", "0.6", "--trials", "2", "--window", "20",
+                       "--horizon", "2", "--seed", "1", "--offset", "1e307",
+                       "--output-dir", str(out)) == 0
+        assert (out / "sweep.csv").read_text().splitlines()[1] == "0.6,1.0,200,,0"
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        [cell] = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        assert cell["error"] == "squared forecast error is not finite"
 
 
 class TestParsing:

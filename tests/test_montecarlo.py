@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from sigcast.montecarlo import (
     generate_path,
     run_sweep,
 )
+from sigcast.salsa import SalsaParams
 
 
 class TestGeneratePath:
@@ -49,6 +51,22 @@ class TestGeneratePath:
             SimParams(length=10, noise_std=0.0)
         with pytest.raises(ValueError):
             SimParams(length=10, seed=-3)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(a_high=float("inf")), "a_high - a_low"),
+            (dict(a_low=float("nan")), "a_high - a_low"),
+            (dict(a_low=-1e308, a_high=1e308), "a_high - a_low"),
+            (dict(noise_std=float("inf")), "noise_std"),
+            (dict(offset=float("nan")), "offset"),
+        ],
+        ids=["a_high_inf", "a_low_nan", "range_overflows", "noise_std_inf", "offset_nan"],
+    )
+    def test_params_that_fail_every_path_rejected(self, kwargs, named):
+        # numpy's uniform or TimeSeries would raise for every seed
+        with pytest.raises(ValueError, match=named):
+            SimParams(length=10, **kwargs)
 
 
 FAST_GRID = dict(trials=2, horizon=3, window=40)
@@ -159,7 +177,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "fault, error",
-        [("non_finite", "masked signal must be finite"), ("overflow", "range exceeds bounds")],
+        [("non_finite", "squared forecast error is not finite"),
+         ("overflow", "range exceeds bounds")],
+        ids=["non_finite", "overflow"],
     )
     def test_bad_path_fails_only_its_cell(self, monkeypatch, fault, error):
         import sigcast.montecarlo
@@ -184,6 +204,50 @@ class TestRunSweep:
         assert table.rows[1].error == error
         assert table.rows[1].mean_residual_per_point is None
         assert [table.rows[i] for i in (0, 2)] == [clean.rows[i] for i in (0, 2)]
+
+    def test_non_finite_total_fails_only_its_cell(self, monkeypatch):
+        # one block of 6 rows at one worker: an inf forecast in the first row
+        # of cell 1, and cell 2 forecasts 6e153 so that each trial's squared
+        # error (about 1.1e308) is finite but the two trials' total overflows
+        import sigcast.montecarlo
+
+        real = sigcast.montecarlo.salsa_forecast
+
+        def skewed(history, horizon, params):
+            fc = real(history, horizon, params).copy()
+            mus = [p.mu for p in params]
+            fc[mus.index(1.0)] = np.inf
+            fc[[mu == 2.0 for mu in mus]] = 6e153
+            return fc
+
+        grid = SweepGrid(mu_values=(0.5, 1.0, 2.0), **FAST_GRID)
+        sim = SimParams(length=43, seed=2)
+        clean = run_sweep(grid, sim, threads=1)
+        monkeypatch.setattr(sigcast.montecarlo, "salsa_forecast", skewed)
+        rows = [(cell, trial, SalsaParams(mu=mu)) for cell, (mu, _, _) in enumerate(grid.cells())
+                for trial in range(grid.trials)]
+        sq_err, _ = sigcast.montecarlo._run_block((rows, grid, sim))
+        assert np.isinf(sq_err[2]) and np.isfinite(sq_err[[0, 1, 3, 4, 5]]).all()
+        table = run_sweep(grid, sim, threads=1)
+        assert table.rows[0] == clean.rows[0]
+        for row in table.rows[1:]:
+            assert (row.mean_residual_per_point, row.trials_run) == (None, 0)
+            assert row.error == "squared forecast error is not finite"
+
+    def test_overflowing_paths_fail_every_cell(self):
+        # paths near 1e307 are finite, but their forecasts' squared errors are not
+        grid = SweepGrid(mu_values=(0.5, 1.0), **FAST_GRID)
+        sim = SimParams(length=43, offset=1e307, seed=1)
+        with np.errstate(all="ignore"):
+            table = run_sweep(grid, sim, threads=1)
+        for row in table.rows:
+            assert (row.mean_residual_per_point, row.trials_run) == (None, 0)
+            assert row.error == "squared forecast error is not finite"
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert len(json.loads(table.to_json(), parse_constant=refuse)) == 2
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         # a TypeError is a bug, not a failed cell

@@ -328,6 +328,9 @@ class TestSalsaParams:
             {"threshold_scale": 0.0},
             {"p_norm": -5.0},
             {"cost_tol": -1e-3},
+            # NaN fails every comparison, so each bound is written to refuse it
+            {"lam": float("nan")},
+            {"cost_tol": float("nan")},
         ],
     )
     def test_invalid_params(self, kwargs):
