@@ -143,14 +143,16 @@ def _read_series(args):
     return read_csv_column(spec)
 
 
-def _method_params(args):
-    return {
-        "salsa": SalsaParams(mu=args.mu, lam=args.lam, n_basis=args.n_basis, n_iter=args.n_iter),
-        "causal": CausalParams(
-            omega=args.omega, nu=args.nu, n_harmonics=args.n_harmonics, ma_width=args.ma_width
-        ),
-        "linear": LinearParams(lookback=args.lookback, variant=args.linear_variant),
+def _method_params(args, methods) -> dict:
+    """Each named method's params, built from its options and no other's."""
+    build = {
+        "salsa": lambda: SalsaParams(mu=args.mu, lam=args.lam, n_basis=args.n_basis,
+                                     n_iter=args.n_iter),
+        "causal": lambda: CausalParams(omega=args.omega, nu=args.nu,
+                                       n_harmonics=args.n_harmonics, ma_width=args.ma_width),
+        "linear": lambda: LinearParams(lookback=args.lookback, variant=args.linear_variant),
     }
+    return {method: make() for method, make in build.items() if method in methods}
 
 
 def _out_dir(args) -> Path:
@@ -171,7 +173,7 @@ def cmd_forecast(args) -> int:
     if args.window < 1:
         raise ValueError(f"window must be >= 1, got {args.window}")
     series = _read_series(args)
-    params = _method_params(args)[args.method]
+    params = _method_params(args, [args.method])[args.method]
     if len(series) < args.window:
         raise ValueError(f"series has {len(series)} samples, need window {args.window}")
     values = forecast(args.method, series.values[-args.window :], args.horizon, params)
@@ -207,7 +209,8 @@ def cmd_experiment(args) -> int:
         stride=args.stride,
         methods=methods,
         lookahead_smoothing=args.lookahead_smoothing,
-        **_method_params(args),
+        # causal's ma_width also draws plot_data.csv's smoothed column
+        **_method_params(args, (*methods, "causal")),
     )
     result = run_experiment(series, config)
     out = _out_dir(args)
@@ -224,9 +227,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    if args.resume and args.seed is None:
-        raise ValueError("--resume needs the --seed of the run it continues")
-    seed = _resolve_seed(args)
     grid = SweepGrid(
         mu_values=_parse_grid_values(args.mu_values),
         lambda_values=_parse_grid_values(args.lambda_values),
@@ -235,26 +235,29 @@ def cmd_sweep(args) -> int:
         horizon=args.horizon,
         window=args.window,
     )
-    sim = _sim_params(args, grid.window + grid.horizon, seed)
+    sim = _sim_params(args, grid.window + grid.horizon, _resolve_seed(args))
     out = _out_dir(args)
-    csv_path = out / "sweep.csv"
+    csv_path, json_path = out / "sweep.csv", out / "sweep.json"
 
     done = []
-    if args.resume and csv_path.exists():
-        done = SweepTable.from_csv(csv_path.read_text()).rows
+    if args.resume and json_path.exists():
+        done = SweepTable.from_json(json_path.read_text(), grid, sim).rows
         print(f"resuming: {len(done)} cells already done", file=sys.stderr)
-    completed = {row.key: row for row in done}
-    _write_atomic(csv_path, SweepTable(done).to_csv())
 
-    # save the rows so far as each one finishes, so an interrupted run can resume
+    def save(rows):
+        _write_atomic(csv_path, SweepTable(rows).to_csv())
+        _write_atomic(json_path, SweepTable(rows).to_json(grid, sim))
+
+    # save the cells so far as each one finishes, so an interrupted run can resume
     def persist(row):
         done.append(row)
-        _write_atomic(csv_path, SweepTable(done).to_csv())
+        save(done)
 
+    completed = {row.key: row for row in done}
+    save(done)
     table = run_sweep(grid, sim, threads=args.threads, completed=completed, on_row=persist)
     # canonical grid-order rewrite (identical bytes for any worker count)
-    _write_atomic(csv_path, table.to_csv())
-    (out / "sweep.json").write_text(table.to_json())
+    save(table.rows)
     return 0
 
 
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ar_options(sw)
     sw.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
     sw.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
-    sw.add_argument("--resume", action="store_true", help="continue a partial sweep.csv")
+    sw.add_argument("--resume", action="store_true", help="continue a partial sweep.json")
     sw.set_defaults(func=cmd_sweep)
 
     sim = subs.add_parser(

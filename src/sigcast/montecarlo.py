@@ -14,14 +14,12 @@ count and any split of the trials into stacked SALSA row blocks.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -148,7 +146,8 @@ class SweepRow:
         return (self.mu, self.lam, self.n_basis)
 
 
-CSV_HEADER = ["mu", "lambda", "n_basis", "mean_residual_per_point", "trials_run"]
+# a SweepRow's fields as the record names them; sweep.csv has the first five
+CELL_KEYS = ("mu", "lambda", "n_basis", "mean_residual_per_point", "trials_run", "error")
 
 
 @dataclass
@@ -158,55 +157,52 @@ class SweepTable:
     rows: list[SweepRow]
 
     def to_csv(self) -> str:
-        return csv_text(
-            CSV_HEADER,
-            ((r.mu, r.lam, r.n_basis, r.mean_residual_per_point, r.trials_run) for r in self.rows),
-        )
+        return csv_text(CELL_KEYS[:5], (astuple(row)[:5] for row in self.rows))
 
-    def to_json(self) -> str:
-        payload = [
-            {
-                "mu": row.mu,
-                "lambda": row.lam,
-                "n_basis": row.n_basis,
-                "mean_residual_per_point": row.mean_residual_per_point,
-                "trials_run": row.trials_run,
-                "error": row.error,
-            }
-            for row in self.rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+    def to_json(self, grid: SweepGrid, sim: SimParams) -> str:
+        """The sweep's record: every field of the run that made the rows, and the rows."""
+        cells = [dict(zip(CELL_KEYS, astuple(row))) for row in self.rows]
+        return json.dumps({"run": _run(grid, sim), "cells": cells}, indent=2) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "SweepTable":
-        """Parse what :meth:`to_csv` wrote; a malformed row raises ValueError."""
-        reader = csv.reader(io.StringIO(text))
-        rows = []
+    def from_json(cls, text: str, grid: SweepGrid, sim: SimParams) -> "SweepTable":
+        """Read back the record :meth:`to_json` wrote for this same run.
+
+        Anything else raises ValueError: text that is not strict JSON, another
+        run's record (naming a field that differs), or a cell this run cannot
+        write, such as one outside the grid, a repeat or a non-finite mean.
+        """
         try:
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected sweep table header: {header}")
-            for rec in reader:
-                if not rec:
-                    continue
-                try:
-                    mu, lam, n_basis, mean, trials_run = rec
-                    row = SweepRow(
-                        mu=float(mu),
-                        lam=float(lam),
-                        n_basis=int(n_basis),
-                        mean_residual_per_point=float(mean) if mean != "" else None,
-                        trials_run=int(trials_run),
-                        error=None if mean != "" else "failure recorded in table",
-                    )
-                except ValueError as exc:
-                    raise ValueError(
-                        f"malformed sweep table row at line {reader.line_num}: {','.join(rec)!r}"
-                    ) from exc
-                rows.append(row)
-        except csv.Error as exc:
-            raise ValueError(f"malformed sweep table row at line {reader.line_num}: {exc}") from exc
-        return cls(rows=rows)
+            record = json.loads(text, parse_constant=_not_json)
+            recorded = dict(record["run"])
+            cells = [[cell[key] for key in CELL_KEYS] for cell in record["cells"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed sweep record: {exc!r}") from exc
+        run = _run(grid, sim)
+        for name in {**recorded, **run}:
+            there, here = json.dumps(recorded.get(name)), json.dumps(run.get(name))
+            if there != here:
+                raise ValueError(f"sweep record of another run: {name} {there} there, {here} here")
+        # cells compared as JSON text, so 200.0 is not n_basis 200 nor -0.0 lambda 0.0
+        unseen = dict.fromkeys(map(json.dumps, grid.cells()), True)
+        for cell in cells:
+            mean, trials_run, error = cell[3:]
+            done = (trials_run, error) == (grid.trials, None) and isinstance(mean, float)
+            failed = (mean, trials_run) == (None, 0) and isinstance(error, str)
+            if not unseen.pop(json.dumps(cell[:3]), False) or not (
+                done and math.isfinite(mean) or failed
+            ):
+                raise ValueError(f"sweep record cell is not one this run can write: {cell}")
+        return cls(rows=[SweepRow(*cell) for cell in cells])
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _run(grid: SweepGrid, sim: SimParams) -> dict:
+    """The record's "run": every field of the grid and of the AR settings."""
+    return {**asdict(grid), **asdict(sim)}
 
 
 # Rows per stacked SALSA call, at most. Stacking pays off quickly: at N = 200

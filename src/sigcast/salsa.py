@@ -35,8 +35,8 @@ __all__ = [
 class SalsaParams:
     """SALSA hyperparameters.
 
-    mu              : ADMM penalty parameter (> 0)
-    lam             : l1 regularization weight, the noise level knob (>= 0)
+    mu              : ADMM penalty parameter (> 0, finite)
+    lam             : l1 regularization weight, the noise level knob (>= 0, finite)
     n_basis         : dictionary length N (>= signal length M)
     n_iter          : number of iterations
     threshold_scale : multiplier on lam/mu inside the shrinkage threshold
@@ -55,10 +55,10 @@ class SalsaParams:
     cost_tol: float | None = None
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be positive, got {self.n_basis}")
         if self.n_iter < 1:

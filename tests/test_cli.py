@@ -1,9 +1,16 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import strict_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sigcast.cli
 import sigcast.harness
 from sigcast.baselines import linear_forecast
 from sigcast.causal import causal_forecast
@@ -69,7 +76,7 @@ class TestForecast:
         rows = list(csv.reader((out / "forecast.csv").read_text().splitlines()))
         assert rows[0] == ["step", "value"]
         assert [float(r[1]) for r in rows[1:]] == [6.5] * 4
-        meta = json.loads((out / "forecast_params.json").read_text())
+        meta = strict_json((out / "forecast_params.json").read_text())
         assert meta["method"] == "linear"
 
     def test_missing_input_is_io_error(self, tmp_path):
@@ -163,6 +170,15 @@ class TestForecast:
                    "--output-dir", str(out)) == 1
         assert not (out / "forecast.txt").exists()
 
+    def test_other_methods_options_not_built(self, tmp_path):
+        # --nu 0 is no valid causal regularizer, but salsa never reads it
+        src = tmp_path / "input.csv"
+        write_series_csv(src, generate_path(SimParams(length=120, seed=4)).values)
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "salsa",
+                   "--n-iter", "20", "--nu", "0", "--output-dir", str(tmp_path / "out")) == 0
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "causal",
+                   "--nu", "0", "--output-dir", str(tmp_path / "out")) == 1
+
 
 class TestExperiment:
     def test_window_count_reported(self, tmp_path):
@@ -173,7 +189,7 @@ class TestExperiment:
                    "--methods", "linear", "--window", "91", "--horizon", "2",
                    "--stride", "2", "--format", "json", "--output-dir", str(out))
         assert code == 0
-        payload = json.loads((out / "report.json").read_text())
+        payload = strict_json((out / "report.json").read_text())
         assert payload["n_windows"] == 127
 
     def test_report_column_order(self, tmp_path):
@@ -220,6 +236,16 @@ class TestExperiment:
         assert "needs" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    def test_disabled_methods_options_not_built(self, tmp_path):
+        # --n-basis 0 is no valid SALSA dictionary, but linear alone never reads it;
+        # causal's options are always built, for plot_data.csv's smoothed column
+        src = tmp_path / "input.csv"
+        write_series_csv(src, generate_path(SimParams(length=120, seed=4)).values)
+        args = ("experiment", "--input", str(src), "--column", "value", "--methods", "linear",
+                "--horizon", "5", "--output-dir", str(tmp_path / "out"))
+        assert run(*args, "--n-basis", "0") == 0
+        assert run(*args, "--ma-width", "0") == 1
+
     def test_report_matches_direct_library_call(self, tmp_path):
         from sigcast.harness import ExperimentConfig, render_report, run_experiment
         from sigcast.salsa import SalsaParams as SP
@@ -234,6 +260,44 @@ class TestExperiment:
         config = ExperimentConfig(horizon=5, salsa=SP(n_iter=50))
         want = render_report(run_experiment(series, config), "csv")
         assert (out / "report.csv").read_text() == want
+
+
+# a partial run of two cells, and the options it is resumed with
+SWEEP = ("sweep", "--mu-values", "0.4,0.8", "--trials", "2", "--window", "40", "--horizon", "2",
+         "--seed", "31")
+
+
+class _Cut(Exception):
+    """Stands for an interruption of a sweep."""
+
+
+def sweep_cut_after(cells, *argv):
+    """Run `sigcast sweep`, stopping it once `cells` finished cells are saved.
+
+    Returns the exit code, or None when the run was cut.
+    """
+    real = sigcast.cli.run_sweep
+
+    def stop_after(*args, on_row, **kwargs):
+        saved = []
+
+        def record(row):
+            if len(saved) == cells:
+                raise _Cut
+            on_row(row)
+            saved.append(row)
+
+        return real(*args, on_row=record, **kwargs)
+
+    with mock.patch.object(sigcast.cli, "run_sweep", stop_after):
+        try:
+            return main(list(argv))
+        except _Cut:
+            return None
+
+
+def sweep_files(out):
+    return [(out / name).read_bytes() for name in ("sweep.csv", "sweep.json")]
 
 
 class TestSweep:
@@ -256,24 +320,67 @@ class TestSweep:
                for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert mus == [0.1, 0.2, 0.3, 0.4]
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
+    def test_resume_matches_uninterrupted(self, tmp_path, capsys):
         args = ["--mu-values", "0.4,0.8,1.2", "--trials", "2", "--window", "40",
                 "--horizon", "2", "--seed", "31"]
         full_dir = tmp_path / "full"
         assert run("sweep", *args, "--output-dir", str(full_dir)) == 0
-        full = (full_dir / "sweep.csv").read_text()
+        record = strict_json((full_dir / "sweep.json").read_text())
 
+        # an interrupted run's record: the first finished cell, and no sweep.csv,
+        # which resume never reads
         resume_dir = tmp_path / "resumed"
         resume_dir.mkdir()
-        # simulate an interrupted run: header plus the first completed cell
-        partial = "\n".join(full.splitlines()[:2]) + "\n"
-        (resume_dir / "sweep.csv").write_text(partial)
+        partial = dict(record, cells=record["cells"][:1])
+        (resume_dir / "sweep.json").write_text(json.dumps(partial, indent=2) + "\n")
         assert run("sweep", *args, "--resume", "--output-dir", str(resume_dir)) == 0
-        assert (resume_dir / "sweep.csv").read_text() == full
+        assert "resuming: 1 cells already done" in capsys.readouterr().err
+        assert sweep_files(resume_dir) == sweep_files(full_dir)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_mu=st.integers(1, 3),
+        n_lambda=st.integers(1, 2),
+        offset=st.sampled_from(["80", "1e307"]),
+        seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_resume_after_any_cut_matches_uninterrupted(self, n_mu, n_lambda, offset, seed,
+                                                        data):
+        # at offset 1e307 every cell fails, and its error text must survive the cut
+        argv = ["sweep", "--mu-values", "0.4,0.8,1.6"[: 4 * n_mu - 1],
+                "--lambda-values", "1,2"[: 2 * n_lambda - 1], "--trials", "2",
+                "--window", "20", "--horizon", "2", "--seed", str(seed), "--offset", offset]
+        n_cells = n_mu * n_lambda
+        cut = data.draw(st.integers(0, n_cells), label="cells saved before the cut")
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            full, part = Path(tmp, "full"), Path(tmp, "part")
+            assert main([*argv, "--output-dir", str(full)]) == 0
+            cells = strict_json((full / "sweep.json").read_text())["cells"]
+            assert all(cell["error"] for cell in cells) == (offset == "1e307")
+
+            code = sweep_cut_after(cut, *argv, "--output-dir", str(part))
+            assert code == (0 if cut == n_cells else None)
+            assert strict_json((part / "sweep.json").read_text())["cells"] == cells[:cut]
+            assert main([*argv, "--resume", "--output-dir", str(part)]) == 0
+            assert sweep_files(part) == sweep_files(full)
+
+    def test_failed_cell_kept_with_its_text(self, tmp_path):
+        # a failure is deterministic for a fixed run: resume keeps it, not re-runs it
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert run(*SWEEP, "--output-dir", str(full)) == 0
+        record = strict_json((full / "sweep.json").read_text())
+        failed = dict(record["cells"][0], mean_residual_per_point=None, trials_run=0,
+                      error="recorded failure")
+        part.mkdir()
+        (part / "sweep.json").write_text(json.dumps(dict(record, cells=[failed])))
+        assert run(*SWEEP, "--resume", "--output-dir", str(part)) == 0
+        assert strict_json((part / "sweep.json").read_text())["cells"] == [
+            failed, record["cells"][1]
+        ]
+        assert (part / "sweep.csv").read_text().splitlines()[1] == "0.4,1.0,200,,0"
 
     def test_rows_saved_as_each_cell_finishes(self, tmp_path, monkeypatch):
-        import sigcast.cli
-
         out = tmp_path / "out"
         saved = []
         real_run_sweep = sigcast.cli.run_sweep
@@ -281,47 +388,90 @@ class TestSweep:
         def spy(*args, on_row, **kwargs):
             def record(row):
                 on_row(row)
-                saved.append((out / "sweep.csv").read_text())
+                saved.append([(out / name).read_text() for name in ("sweep.csv", "sweep.json")])
             return real_run_sweep(*args, on_row=record, **kwargs)
 
         monkeypatch.setattr(sigcast.cli, "run_sweep", spy)
         assert run("sweep", "--mu-values", "0.4,0.8", "--trials", "1", "--window", "40",
                    "--horizon", "2", "--seed", "9", "--output-dir", str(out)) == 0
         lines = (out / "sweep.csv").read_text().splitlines(keepends=True)
-        assert saved == ["".join(lines[:2]), "".join(lines)]
+        assert [table for table, _ in saved] == ["".join(lines[:2]), "".join(lines)]
+        cells = strict_json((out / "sweep.json").read_text())["cells"]
+        assert [strict_json(record)["cells"] for _, record in saved] == [cells[:1], cells]
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (("--seed", "32"), "seed 31 there, 32 here"),
+            (("--trials", "5"), "trials 2 there, 5 here"),
+            (("--window", "41"), "window 40 there, 41 here"),
+            (("--mu-values", "0.4,0.9"), "mu_values [0.4, 0.8] there, [0.4, 0.9] here"),
+            (("--offset", "0"), "offset 80.0 there, 0.0 here"),
+            (("--trials", "5", "--offset", "0"), "trials 2 there, 5 here"),
+        ],
+        ids=["seed", "trials", "window", "grid_value", "offset", "trials_and_offset"],
+    )
+    def test_resume_of_another_run_is_refused(self, tmp_path, capsys, change, named):
+        out = tmp_path / "out"
+        assert sweep_cut_after(1, *SWEEP, "--output-dir", str(out)) is None
+        before = sweep_files(out)
+        assert run(*SWEEP, *change, "--resume", "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"sweep record of another run: {named}" in err
+        assert "Traceback" not in err
+        assert sweep_files(out) == before
 
     def test_resume_truncated_row_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "out"
-        out.mkdir()
-        header = "mu,lambda,n_basis,mean_residual_per_point,trials_run\n"
-        (out / "sweep.csv").write_text(header + "0.5,1.0,20")
-        assert run("sweep", "--mu-values", "0.5", "--trials", "1", "--window", "10",
-                   "--horizon", "2", "--seed", "9", "--resume",
-                   "--output-dir", str(out)) == 1
+        assert run(*SWEEP, "--output-dir", str(out)) == 0
+        text = (out / "sweep.json").read_text()
+        # cut inside the second cell, as a write that did not finish would
+        (out / "sweep.json").write_text(text[: text.rindex('"mean_residual_per_point"')])
+        before = sweep_files(out)
+        assert run(*SWEEP, "--resume", "--output-dir", str(out)) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err
+        assert "malformed sweep record" in err
         assert "Traceback" not in err
+        assert sweep_files(out) == before
 
-    def test_resume_malformed_csv_is_validation_error(self, tmp_path, capsys):
+    def test_resume_malformed_record_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "out"
-        out.mkdir()
-        header = "mu,lambda,n_basis,mean_residual_per_point,trials_run\n"
-        (out / "sweep.csv").write_text(header + "0.5,1.0,20," + "9" * 200_000 + ",1\n")
-        assert run("sweep", "--mu-values", "0.5", "--trials", "1", "--window", "10",
-                   "--horizon", "2", "--seed", "9", "--resume",
-                   "--output-dir", str(out)) == 1
-        err = capsys.readouterr().err
-        assert "malformed sweep table row at line 2" in err
-        assert "Traceback" not in err
+        assert run(*SWEEP, "--output-dir", str(out)) == 0
+        text = (out / "sweep.json").read_text()
+        record = strict_json(text)
+        first, second = record["cells"]
+        mean = repr(first["mean_residual_per_point"])
+        cell_error = "sweep record cell is not one this run can write"
+        garbled = {
+            "\x00not json": "malformed sweep record",
+            json.dumps(record["cells"]): "malformed sweep record",  # the earlier sweep.json
+            text.replace(mean, "NaN", 1): "NaN is not JSON",
+            text.replace(mean, "1e400", 1): cell_error,
+            json.dumps(dict(record, cells=[{k: first[k] for k in list(first)[:5]}])):
+                "KeyError('error')",
+            json.dumps(dict(record, cells=[dict(first, mu=0.5)])): cell_error,
+            json.dumps(dict(record, cells=[first, second, first])): cell_error,
+            json.dumps(dict(record, cells=[dict(first, trials_run=1)])): cell_error,
+        }
+        for bad, named in garbled.items():
+            (out / "sweep.json").write_text(bad)
+            before = sweep_files(out)
+            assert run(*SWEEP, "--resume", "--output-dir", str(out)) == 1
+            err = capsys.readouterr().err
+            assert named in err
+            assert "Traceback" not in err
+            assert sweep_files(out) == before
 
-    def test_resume_without_seed_is_validation_error(self, tmp_path):
+    def test_resume_without_seed_is_validation_error(self, tmp_path, capsys):
+        # a fresh seed is never the recorded one
         out = tmp_path / "out"
         args = ["--mu-values", "0.6", "--trials", "1", "--window", "40",
                 "--horizon", "2", "--output-dir", str(out)]
         assert run("sweep", *args, "--seed", "9") == 0
-        before = (out / "sweep.csv").read_text()
+        before = sweep_files(out)
         assert run("sweep", *args, "--resume") == 1
-        assert (out / "sweep.csv").read_text() == before
+        assert "sweep record of another run: seed 9 there" in capsys.readouterr().err
+        assert sweep_files(out) == before
 
     @pytest.mark.parametrize(
         "grid, named",
@@ -330,11 +480,13 @@ class TestSweep:
             (("--n-basis-values", "200,20"), "n_basis = 20"),
             (("--mu-values", "0.6,0"), "got 0.0"),
             (("--mu-values", "0.5,0.5"), "mu_values repeats a value"),
-            (("--lambda-values", "nan"), "lam must be nonnegative, got nan"),
+            (("--lambda-values", "nan"), "lam must be nonnegative and finite, got nan"),
             (("--a-high", "inf"), "a_high - a_low must be finite"),
+            (("--mu-values", "inf"), "mu must be positive and finite, got inf"),
+            (("--lambda-values", "inf"), "lam must be nonnegative and finite, got inf"),
         ],
         ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated", "lambda_nan",
-             "a_high_inf"],
+             "a_high_inf", "mu_inf", "lambda_inf"],
     )
     def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
         out = tmp_path / "out"
@@ -346,9 +498,15 @@ class TestSweep:
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"
         assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
-                   "--horizon", "2", "--seed", "9", "--output-dir", str(out)) == 0
-        payload = json.loads((out / "sweep.json").read_text())
-        assert payload[0]["mu"] == 0.6
+                   "--horizon", "2", "--seed", "9", "--threads", "2",
+                   "--output-dir", str(out)) == 0
+        record = strict_json((out / "sweep.json").read_text())
+        assert record["run"] == {
+            "mu_values": [0.6], "lambda_values": [1.0], "n_basis_values": [200], "trials": 1,
+            "horizon": 2, "window": 40, "length": 42, "a_low": 0.0, "a_high": 1.0,
+            "noise_std": 1.0, "offset": 80.0, "seed": 9,
+        }
+        assert record["cells"][0]["mu"] == 0.6
         assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.6,1.0,200,")
 
     def test_format_option_is_usage_error(self, tmp_path, capsys):
@@ -367,11 +525,7 @@ class TestSweep:
                        "--horizon", "2", "--seed", "1", "--offset", "1e307",
                        "--output-dir", str(out)) == 0
         assert (out / "sweep.csv").read_text().splitlines()[1] == "0.6,1.0,200,,0"
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-
-        [cell] = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        [cell] = strict_json((out / "sweep.json").read_text())["cells"]
         assert cell["error"] == "squared forecast error is not finite"
 
 

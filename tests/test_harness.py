@@ -1,10 +1,10 @@
 import csv
 import io
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import strict_json
 
 import sigcast.harness
 from sigcast.baselines import LinearParams
@@ -205,7 +205,7 @@ class TestRenderReport:
         assert float(by_label["Total L2 residual"][salsa_col]) == ar_result.residuals["salsa"].total_l2
 
     def test_json_structure(self, ar_result):
-        payload = json.loads(render_report(ar_result, "json"))
+        payload = strict_json(render_report(ar_result, "json"))
         assert payload["n_windows"] == ar_result.n_windows
         assert payload["columns"][0] == "Raw Data"
         assert payload["rows"]["Range"]["Raw Data"] == ar_result.truth_stats.range

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import strict_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,7 +109,7 @@ class TestRunSweep:
             seen = []
             parallel = run_sweep(grid, sim, threads=threads, on_row=seen.append)
             assert parallel.to_csv() == serial.to_csv()
-            assert parallel.to_json() == serial.to_json()
+            assert parallel.to_json(grid, sim) == serial.to_json(grid, sim)
             assert seen == parallel.rows
 
     def test_small_runs_stay_in_one_block(self):
@@ -243,11 +244,7 @@ class TestRunSweep:
         for row in table.rows:
             assert (row.mean_residual_per_point, row.trials_run) == (None, 0)
             assert row.error == "squared forecast error is not finite"
-
-        def refuse(name):
-            raise ValueError(f"{name} is not JSON")
-
-        assert len(json.loads(table.to_json(), parse_constant=refuse)) == 2
+        assert len(strict_json(table.to_json(grid, sim))["cells"]) == 2
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         # a TypeError is a bug, not a failed cell
@@ -273,31 +270,46 @@ class TestRunSweep:
 
 
 class TestSweepTable:
-    def test_csv_round_trip(self):
-        grid = SweepGrid(mu_values=(0.5,), **FAST_GRID)
+    def test_json_round_trip(self):
+        grid = SweepGrid(mu_values=(0.5, 1.0), **FAST_GRID)
         sim = SimParams(length=43, seed=11)
         table = run_sweep(grid, sim)
-        back = SweepTable.from_csv(table.to_csv())
-        assert back.rows[0].mu == table.rows[0].mu
-        assert back.rows[0].mean_residual_per_point == table.rows[0].mean_residual_per_point
-        assert back.rows[0].trials_run == table.rows[0].trials_run
+        text = table.to_json(grid, sim)
+        back = SweepTable.from_json(text, grid, sim)
+        assert back == table
+        assert back.to_json(grid, sim) == text
 
     def test_csv_header(self):
         table = SweepTable(rows=[])
         assert table.to_csv().splitlines()[0] == "mu,lambda,n_basis,mean_residual_per_point,trials_run"
 
     def test_json_contains_all_cells(self):
-        import json
-
         grid = SweepGrid(mu_values=(0.5, 1.5), **FAST_GRID)
         sim = SimParams(length=43, seed=11)
-        payload = json.loads(run_sweep(grid, sim).to_json())
-        assert [cell["mu"] for cell in payload] == [0.5, 1.5]
-        assert all("mean_residual_per_point" in cell for cell in payload)
+        record = strict_json(run_sweep(grid, sim).to_json(grid, sim))
+        assert record["run"]["mu_values"] == [0.5, 1.5]
+        assert record["run"]["seed"] == 11
+        assert [cell["mu"] for cell in record["cells"]] == [0.5, 1.5]
+        assert all("mean_residual_per_point" in cell for cell in record["cells"])
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            SweepTable.from_csv("a,b,c\n1,2,3\n")
+        # the record is {"run": ..., "cells": [...]}; anything else is refused
+        grid = SweepGrid(mu_values=(0.5,), **FAST_GRID)
+        sim = SimParams(length=43, seed=11)
+        for text in ("a,b,c\n1,2,3\n", "[]", '{"cells": []}', '{"run": 5, "cells": []}'):
+            with pytest.raises(ValueError, match="malformed sweep record"):
+                SweepTable.from_json(text, grid, sim)
+
+    def test_other_run_rejected_naming_the_field(self):
+        grid = SweepGrid(mu_values=(0.5,), **FAST_GRID)
+        sim = SimParams(length=43, seed=11)
+        text = SweepTable(rows=[]).to_json(grid, sim)
+        with pytest.raises(ValueError, match="noise_std 1.0 there, 2.0 here"):
+            SweepTable.from_json(text, grid, SimParams(length=43, noise_std=2.0, seed=11))
+        record = strict_json(text)
+        record["run"]["threads"] = 2  # no field of the run: results are the same for any
+        with pytest.raises(ValueError, match="threads 2 there, null here"):
+            SweepTable.from_json(json.dumps(record), grid, sim)
 
 
 class TestSweepGrid:

@@ -331,6 +331,9 @@ class TestSalsaParams:
             # NaN fails every comparison, so each bound is written to refuse it
             {"lam": float("nan")},
             {"cost_tol": float("nan")},
+            # an infinite penalty or weight drives every coefficient to 0
+            pytest.param({"mu": float("inf")}, id="mu_inf"),
+            pytest.param({"lam": float("inf")}, id="lambda_inf"),
         ],
     )
     def test_invalid_params(self, kwargs):

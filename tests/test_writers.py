@@ -10,6 +10,7 @@ integral floats, and that the written files read back bit for bit.
 import csv
 import io
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,7 @@ from sigcast.harness import (
     render_report,
 )
 from sigcast.ingest import CsvSpec, read_csv_column, write_csv
-from sigcast.montecarlo import SweepRow, SweepTable
+from sigcast.montecarlo import SimParams, SweepGrid, SweepRow, SweepTable
 from sigcast.series import ResidualReport, SummaryStats, TimeSeries
 
 
@@ -158,16 +159,43 @@ def test_sweep_csv_matches_per_cell_writer(rows):
     assert table.to_csv() == _reference_sweep_csv(table)
 
 
+@st.composite
+def sweep_records(draw):
+    """A grid, AR settings, and rows of a record for them: some cells, in any order."""
+    grid = SweepGrid(
+        mu_values=tuple(draw(st.lists(st.floats(5e-324, 1e308), min_size=1, max_size=3,
+                                      unique=True))),
+        lambda_values=tuple(draw(st.lists(st.floats(0.0, 1e308) | st.just(-0.0), min_size=1,
+                                          max_size=2, unique=True))),
+        n_basis_values=tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=2,
+                                           unique=True))),
+        trials=draw(st.integers(1, 10**6)), horizon=1, window=1,
+    )
+    sim = SimParams(length=2, offset=draw(finite), seed=draw(st.integers(0, 2**64)))
+    cells = draw(st.permutations(grid.cells()))[: draw(st.integers(0, len(grid.cells())))]
+    rows = [
+        draw(st.builds(SweepRow, st.just(mu), st.just(lam), st.just(n_basis), finite,
+                       st.just(grid.trials))
+             | st.builds(SweepRow, st.just(mu), st.just(lam), st.just(n_basis), st.none(),
+                         st.just(0), st.text()))
+        for mu, lam, n_basis in cells
+    ]
+    return grid, sim, rows
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(sweep_rows, max_size=20))
-def test_sweep_csv_round_trip(rows):
-    back = SweepTable.from_csv(SweepTable(rows=rows).to_csv()).rows
+@given(sweep_records())
+def test_sweep_record_round_trip(record):
+    grid, sim, rows = record
+    text = SweepTable(rows=rows).to_json(grid, sim)
+    back = SweepTable.from_json(text, grid, sim)
+    assert back.to_json(grid, sim) == text
+    assert back.to_csv() == SweepTable(rows=rows).to_csv()
 
-    def cells(row):  # repr tells -0.0 from 0.0 and matches NaN with NaN
-        return repr((row.mu, row.lam, row.n_basis, row.mean_residual_per_point, row.trials_run))
+    def cells(row):  # repr tells -0.0 from 0.0
+        return repr(astuple(row))
 
-    assert [cells(r) for r in back] == [cells(r) for r in rows]
-    assert [r.error is None for r in back] == [r.mean_residual_per_point is not None for r in rows]
+    assert [cells(r) for r in back.rows] == [cells(r) for r in rows]
 
 
 @settings(max_examples=100, deadline=None)
