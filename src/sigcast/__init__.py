@@ -1,92 +1,24 @@
 """Forecasting engines (sparse Fourier recovery, causal band-limited
 smoothing, linear extrapolation) with a rolling-window comparison harness,
-a Monte Carlo tuning sweep, CSV ingestion and a CLI."""
+a Monte Carlo tuning sweep, CSV ingestion and a CLI.
 
-from .baselines import LinearParams, linear_forecast
-from .causal import (
-    CausalCoefficients,
-    CausalParams,
-    causal_fit,
-    causal_forecast,
-    gram_matrix,
-    moving_average,
-    qstar,
-    regularized_solve,
-    sinc,
-    synthesize_causal,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    render_plot_csv,
-    render_report,
-    run_experiment,
-)
-from .ingest import CsvSpec, read_csv_column, write_csv
-from .montecarlo import SimParams, SweepGrid, SweepRow, SweepTable, generate_path, run_sweep
-from .salsa import (
-    ObservationMask,
-    SalsaParams,
-    SalsaState,
-    adjoint,
-    salsa_forecast,
-    salsa_solve,
-    soft_threshold,
-    synthesize,
-)
-from .series import (
-    ResidualReport,
-    SummaryStats,
-    TimeSeries,
-    Window,
-    l2_residual,
-    rolling_windows,
-    summary_stats,
-)
+Each library module's ``__all__`` is the only list of what it publishes;
+the package republishes them in the order below, then ``__version__``.
+"""
+
+from . import baselines, causal, harness, ingest, montecarlo, salsa, series
+from .baselines import *  # noqa: F403
+from .causal import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .ingest import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .salsa import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeSeries",
-    "Window",
-    "SummaryStats",
-    "ResidualReport",
-    "summary_stats",
-    "l2_residual",
-    "rolling_windows",
-    "SalsaParams",
-    "ObservationMask",
-    "SalsaState",
-    "synthesize",
-    "adjoint",
-    "soft_threshold",
-    "salsa_solve",
-    "salsa_forecast",
-    "CausalParams",
-    "CausalCoefficients",
-    "sinc",
-    "moving_average",
-    "qstar",
-    "gram_matrix",
-    "regularized_solve",
-    "synthesize_causal",
-    "causal_fit",
-    "causal_forecast",
-    "LinearParams",
-    "linear_forecast",
-    "SimParams",
-    "SweepGrid",
-    "SweepRow",
-    "SweepTable",
-    "generate_path",
-    "run_sweep",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "render_report",
-    "render_plot_csv",
-    "CsvSpec",
-    "read_csv_column",
-    "write_csv",
-    "__version__",
-]
+    name
+    for module in (series, salsa, causal, baselines, montecarlo, harness, ingest)
+    for name in module.__all__
+] + ["__version__"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinearParams", "linear_forecast", "VARIANTS"]
+__all__ = ["LinearParams", "linear_forecast"]
 
 VARIANTS = ("two_point_span", "code_slope")
 
@@ -45,6 +45,7 @@ def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()
     """Forecast `horizon` samples past a history of shape (K,) or (B, K).
 
     Each row is extrapolated on its own; a stack gives a (B, horizon) result.
+    A history that is not finite raises ValueError.
     """
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2):
@@ -52,6 +53,8 @@ def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     params.check_window(hist.shape[-1], horizon)
+    if not np.all(np.isfinite(hist)):
+        raise ValueError("history must be finite")
     if params.variant == "two_point_span":
         slope = (hist[..., -1] - hist[..., -1 - params.lookback]) / params.lookback
     else:

@@ -203,14 +203,16 @@ def cmd_forecast(args) -> int:
 def cmd_experiment(args) -> int:
     series = _read_series(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    params = _method_params(args, methods)
+    # causal's ma_width also draws plot_data.csv's smoothed column
+    params.setdefault("causal", CausalParams(ma_width=args.ma_width))
     config = ExperimentConfig(
         horizon=args.horizon,
         window_len=args.window,
         stride=args.stride,
         methods=methods,
         lookahead_smoothing=args.lookahead_smoothing,
-        # causal's ma_width also draws plot_data.csv's smoothed column
-        **_method_params(args, (*methods, "causal")),
+        **params,
     )
     result = run_experiment(series, config)
     out = _out_dir(args)

@@ -9,6 +9,7 @@ against the raw truth over the same span.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,10 +30,8 @@ from .series import (
 )
 
 __all__ = [
-    "METHOD_ORDER",
     "ExperimentConfig",
     "ExperimentResult",
-    "forecast",
     "run_experiment",
     "render_report",
     "render_plot_csv",
@@ -120,6 +119,9 @@ class ExperimentResult:
     smoothed_series: np.ndarray
 
 
+# overflow in smoothing, forecasts or scores gives values that are not
+# finite; those are failures or empty cells, so numpy need not warn of them
+@np.errstate(over="ignore", invalid="ignore")
 def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentResult:
     """Run every enabled method over all rolling windows of the series.
 
@@ -128,7 +130,9 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
     recorded in result.failures and its track values are NaN, so scoring
     skips it. A method whose call fails with a ValueError or ArithmeticError
     has every window failed; a method with no window left has residuals and
-    track statistics None. Any other exception propagates.
+    track statistics None. Any other exception propagates. Statistics and
+    residuals that overflow are kept as they are; the renderers leave them
+    empty.
     """
     starts = rolling_windows(series, config.window_len, config.horizon, config.stride)
     n_win = len(starts)
@@ -176,33 +180,31 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
     )
 
 
+def _cell(obj, attr: str):
+    """obj.attr as a table cell: None (empty) if obj is None or the value is not finite."""
+    if obj is None or not math.isfinite(getattr(obj, attr)):
+        return None
+    return getattr(obj, attr)
+
+
 def _table_cells(result: ExperimentResult) -> tuple[list[str], list[list]]:
     """Header and rows of the comparison table, raw data column first."""
     methods = result.config.methods
     header = ["Data Type", "Raw Data"] + [_DISPLAY[m] for m in methods]
-
-    def stat_row(label, attr):
-        row = [label, getattr(result.truth_stats, attr)]
-        for m in methods:
-            st = result.track_stats[m]
-            row.append(None if st is None else getattr(st, attr))
-        return row
-
+    stats = [result.truth_stats] + [result.track_stats[m] for m in methods]
+    reports = [None] + [result.residuals[m] for m in methods]
     rows = [
-        stat_row("Min", "min"),
-        stat_row("Max", "max"),
-        stat_row("Mean", "mean"),
-        stat_row("STD", "std"),
-        stat_row("Range", "range"),
+        [label] + [_cell(st, attr) for st in stats]
+        for label, attr in (
+            ("Min", "min"), ("Max", "max"), ("Mean", "mean"), ("STD", "std"), ("Range", "range")
+        )
     ]
-    res_total = ["Total L2 residual", None]
-    res_pp = ["Total L2 residual per point", None]
-    for m in methods:
-        rep = result.residuals[m]
-        res_total.append(None if rep is None else rep.total_l2)
-        res_pp.append(None if rep is None else rep.per_point)
-    rows.append(res_total)
-    rows.append(res_pp)
+    rows += [
+        [label] + [_cell(rep, attr) for rep in reports]
+        for label, attr in (
+            ("Total L2 residual", "total_l2"), ("Total L2 residual per point", "per_point")
+        )
+    ]
     return header, rows
 
 
@@ -210,7 +212,8 @@ def render_report(result: ExperimentResult, fmt: str = "text") -> str:
     """Comparison table in text, csv or json form.
 
     Rows: Min/Max/Mean/STD/Range and the total / per-point L2 residuals.
-    Columns: raw truth over the forecast span, then one per method.
+    Columns: raw truth over the forecast span, then one per method. A value
+    that is not finite is no result: an empty cell (null in JSON).
     """
     header, rows = _table_cells(result)
 
@@ -261,13 +264,11 @@ def render_plot_csv(result: ExperimentResult) -> str:
     """Plot-ready curves, one column each, aligned on the truth indices.
 
     Columns: series index, raw truth, the smoothed series at that index,
-    then one forecast-track column per method. Failed windows leave empty
-    cells.
+    then one forecast-track column per method. Failed windows, and any
+    other value that is not finite, leave empty cells.
     """
     methods = result.config.methods
     idx = result.target_indices
-    columns = [idx.tolist(), result.truth_track.tolist(), result.smoothed_series[idx].tolist()]
-    for m in methods:
-        track = result.tracks[m]
-        columns.append(np.where(np.isnan(track), None, track).tolist())
+    floats = [result.truth_track, result.smoothed_series[idx], *(result.tracks[m] for m in methods)]
+    columns = [idx.tolist()] + [np.where(np.isfinite(c), c, None).tolist() for c in floats]
     return csv_text(["index", "raw", "smoothed", *methods], zip(*columns))

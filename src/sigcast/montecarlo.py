@@ -174,6 +174,8 @@ class SweepTable:
         """
         try:
             record = json.loads(text, parse_constant=_not_json)
+            if not isinstance(record, dict):  # such as the bare cell list of earlier versions
+                raise TypeError('the file is not a {"run", "cells"} record')
             recorded = dict(record["run"])
             cells = [[cell[key] for key in CELL_KEYS] for cell in record["cells"]]
         except (ValueError, KeyError, TypeError) as exc:
@@ -277,16 +279,19 @@ def run_sweep(
 
     Every (cell, trial) pair still to run is one row, in cell-major,
     trial-minor order; rows go to SALSA in stacked blocks (see `_blocks`),
-    spread over `threads` worker processes. A cell's mean adds its trials'
-    squared errors in trial order. A cell whose total is not finite (a row
-    that raised or a forecast that is not finite, say) has failed, alone,
-    with the error text of its first row that raised, if any.
+    spread over at most `threads` (>= 1) worker processes and no more than
+    there are blocks. A cell's mean adds its trials' squared errors in trial
+    order. A cell whose total is not finite (a row that raised or a forecast
+    that is not finite, say) has failed, alone, with the error text of its
+    first row that raised, if any.
 
     `completed` maps (mu, lam, n_basis) keys to already-finished SweepRows
     (resume support); those cells are not re-run. `on_row` is called with
     each freshly computed row in grid order, as soon as its last block is
     done, which lets callers persist partial tables for later resume.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     completed = completed or {}
     cells = grid.cells()
     pending = [idx for idx, cell in enumerate(cells) if cell not in completed]
@@ -298,8 +303,10 @@ def run_sweep(
 
     blocks = _blocks(rows, threads)
     fresh: dict[tuple, SweepRow] = {}
-    parallel = threads > 1 and len(blocks) > 1
-    with ProcessPoolExecutor(max_workers=threads) if parallel else nullcontext() as pool:
+    # a fork pool starts all max_workers processes at its first submit
+    workers = min(threads, len(blocks))
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapped = (pool.map if parallel else map)(_run_block, [(b, grid, sim) for b in blocks])
         # (squared error, error text) per row, in row order; a block is read
         # only when a cell needs its rows

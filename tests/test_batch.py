@@ -173,6 +173,15 @@ def test_harness_forecast_rows(method, stack, horizon):
     assert_rows_equal(batched, lambda row: forecast(method, row, horizon, params), stack)
 
 
+@pytest.mark.parametrize("method", ["salsa", "causal", "linear"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_harness_forecast_refuses_nonfinite_history(method, bad):
+    history = np.arange(SMALL_CAUSAL.window_len, dtype=float)
+    history[1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        forecast(method, history, 2, METHOD_PARAMS[method])
+
+
 @settings(max_examples=15, deadline=None)
 @given(stack=stacks(SMALL_CAUSAL.window_len, SMALL_CAUSAL.window_len), horizon=st.integers(1, 6))
 def test_harness_forecast_presmoothed_rows(stack, horizon):

@@ -237,14 +237,36 @@ class TestExperiment:
         assert not (out / "report.txt").exists()
 
     def test_disabled_methods_options_not_built(self, tmp_path):
-        # --n-basis 0 is no valid SALSA dictionary, but linear alone never reads it;
-        # causal's options are always built, for plot_data.csv's smoothed column
+        # --n-basis 0 is no valid SALSA dictionary and --nu 0 no causal regularizer, but
+        # linear alone reads neither; --ma-width still draws plot_data.csv's smoothed column
         src = tmp_path / "input.csv"
         write_series_csv(src, generate_path(SimParams(length=120, seed=4)).values)
         args = ("experiment", "--input", str(src), "--column", "value", "--methods", "linear",
                 "--horizon", "5", "--output-dir", str(tmp_path / "out"))
         assert run(*args, "--n-basis", "0") == 0
+        assert run(*args, "--nu", "0") == 0
         assert run(*args, "--ma-width", "0") == 1
+        assert run(*args, "--ma-width", "4") == 1
+
+    def test_values_that_are_not_finite_are_empty_cells(self, tmp_path):
+        # finite samples near 1e307: sums and squares overflow, so the means, the
+        # residuals, the smoothed curve and every causal forecast are not finite
+        src = tmp_path / "input.csv"
+        write_series_csv(src, 1e307 + np.random.default_rng(0).normal(0.0, 1e306, 200))
+        out = tmp_path / "out"
+        args = ("experiment", "--input", str(src), "--column", "value", "--horizon", "5",
+                "--stride", "1", "--methods", "linear,causal", "--output-dir", str(out))
+        assert run(*args, "--format", "json") == 0
+        rows = strict_json((out / "report.json").read_text())["rows"]
+        assert rows["Mean"] == {"Raw Data": None, "Causal Forecast": None, "Linear Forecast": None}
+        assert rows["Total L2 residual"]["Linear Forecast"] is None
+        assert rows["Max"]["Linear Forecast"] > rows["Min"]["Linear Forecast"] > 1e306
+        plot = list(csv.reader((out / "plot_data.csv").read_text().splitlines()))[1:]
+        assert {(row[2], row[3]) for row in plot} == {("", "")}
+        assert all(float(row[4]) > 1e306 for row in plot)
+        assert run(*args, "--format", "text") == 0
+        text = (out / "report.txt").read_text().lower()
+        assert "inf" not in text and "nan" not in text
 
     def test_report_matches_direct_library_call(self, tmp_path):
         from sigcast.harness import ExperimentConfig, render_report, run_experiment
@@ -444,7 +466,9 @@ class TestSweep:
         cell_error = "sweep record cell is not one this run can write"
         garbled = {
             "\x00not json": "malformed sweep record",
-            json.dumps(record["cells"]): "malformed sweep record",  # the earlier sweep.json
+            # the sweep.json of earlier versions
+            json.dumps(record["cells"]): 'the file is not a {"run", "cells"} record',
+            "5": 'the file is not a {"run", "cells"} record',
             text.replace(mean, "NaN", 1): "NaN is not JSON",
             text.replace(mean, "1e400", 1): cell_error,
             json.dumps(dict(record, cells=[{k: first[k] for k in list(first)[:5]}])):
@@ -494,6 +518,12 @@ class TestSweep:
                    "--seed", "9", "--output-dir", str(out)) == 1
         assert named in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_nonpositive_threads_is_validation_error(self, tmp_path, capsys):
+        assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
+                   "--horizon", "2", "--seed", "9", "--threads", "0",
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"

@@ -123,6 +123,38 @@ class TestRunSweep:
         assert [len(b) for b in _blocks(rows, threads=3)] == [32, 32]
         assert [len(b) for b in _blocks(rows * 5, threads=1)] == [160, 160]
 
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
+        # a fork pool starts max_workers processes at once; this fake starts none
+        import sigcast.montecarlo
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(sigcast.montecarlo, "ProcessPoolExecutor", RecordingPool)
+        # 32 cells x 2 trials: 64 rows in two blocks of 32
+        grid = SweepGrid(mu_values=tuple(0.1 * k for k in range(1, 33)), **FAST_GRID)
+        sim = SimParams(length=43, seed=3)
+        table = run_sweep(grid, sim, threads=1000)
+        assert sizes == [2]
+        assert table.to_csv() == run_sweep(grid, sim, threads=1).to_csv()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_nonpositive_threads_refused(self, threads):
+        grid = SweepGrid(mu_values=(0.6,), **FAST_GRID)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_sweep(grid, SimParams(length=43, seed=3), threads=threads)
+
     def test_rows_follow_grid_order(self):
         grid = SweepGrid(mu_values=(0.1, 0.2, 0.3), **FAST_GRID)
         sim = SimParams(length=43, seed=5)
