@@ -256,7 +256,6 @@ def cmd_sweep(args) -> int:
         save(done)
 
     completed = {row.key: row for row in done}
-    save(done)
     table = run_sweep(grid, sim, threads=args.threads, completed=completed, on_row=persist)
     # canonical grid-order rewrite (identical bytes for any worker count)
     save(table.rows)

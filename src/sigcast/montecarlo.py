@@ -208,16 +208,17 @@ def _run(grid: SweepGrid, sim: SimParams) -> dict:
 
 
 # Rows per stacked SALSA call, at most. Stacking pays off quickly: at N = 200
-# on a 2-core Xeon a row took about 42 us per iteration alone and 6-9 us in a
-# stack of 32 to 256 rows, but about 9.5 us at 1,000 rows, whose arrays no
+# on a 2-core Xeon a row took about 28 us per iteration alone and 3.0-3.8 us
+# in a stack of 32 to 256 rows, but 4.1-4.5 us at 1,000 rows, whose arrays no
 # longer fit the cache.
 BLOCK_ROWS = 256
 
 # Rows a block needs before a worker process of its own pays. On a 20-row
-# grid at N = 200 two forked workers of 10 rows cut the median sweep time by
-# about 15 % against one in-process block, but on a shared 2-core Xeon their
-# times spread 3-6 times wider (quartiles 27-55 % of the median apart, against
-# 7-8 %), because the sweep then waits for the busier core.
+# grid at N = 200 two forked workers of 10 rows took 109-116 ms in the median
+# against 111-135 ms for one in-process block (three runs of 40 alternating
+# sweeps on a 2-core Xeon), a gain within the spread between runs; and on a
+# shared host the workers' times have spread 3-6 times wider, because the
+# sweep then waits for the busier core.
 MIN_BLOCK_ROWS = 32
 
 

@@ -173,8 +173,8 @@ def _column(values: list, shape: tuple):
     """The rows' values reshaped to `shape`, or one float when every row shares it.
 
     Same bits either way. With a scalar numpy runs each elementwise step as
-    one loop, not one per row: a 1,000-row solve with columns of one shared
-    value took about 14 % longer.
+    one loop, not one per row: at N = 200 a solve with columns of one shared
+    value took about 9 % longer at 256 rows and 3 % at 1,000.
     """
     return values[0] if len(set(values)) == 1 else np.array(values).reshape(shape)
 
@@ -185,7 +185,7 @@ def salsa_solve(
     params: SalsaParams | Sequence[SalsaParams],
     track_cost: bool = True,
 ) -> SalsaState:
-    """Run the SALSA iteration on a masked signal of shape (M,) or (B, M).
+    """Run the SALSA iteration on a real masked signal of shape (M,) or (B, M).
 
     Rows share `mask` and are solved along the last axis, so row i of a
     stack equals the call on row i alone (without cost_tol, which stops a
@@ -199,21 +199,28 @@ def salsa_solve(
         d <- A_k^H(y - A_k u) / (mu + p_norm)
         c <- d + u
 
+    A real y keeps every iterate Hermitian, so the loop works on the N//2+1
+    bins of rfft and irfft; the returned c is the full Hermitian spectrum.
+    A complex `masked` with a nonzero imaginary part is refused.
+
     When track_cost (or params.cost_tol) is set, each row's
     ||masked - A c||_2^2 + lam * sum|c| is recorded, shape (..., iterations),
     with the unobserved positions of `masked` counted as zeros. With
     cost_tol, iteration stops once every row's relative cost change drops
     below it, and the trace is truncated there.
     """
-    y = np.asarray(masked, dtype=complex)
+    y = np.asarray(masked)
     if y.ndim not in (1, 2) or y.shape[-1] != mask.total_len:
         raise ValueError(
             f"masked signal must have shape (M,) or (B, M) with M = {mask.total_len}"
         )
+    if np.iscomplexobj(y) and np.any(y.imag != 0):
+        raise ValueError("masked signal must be real")
+    y = np.asarray(y.real, dtype=float)
     k, m_len = mask.n_observed, mask.total_len
     shared, rows = _per_row(params, y[..., 0].size)
     shared.check_window(k, m_len - k)
-    if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
+    if not np.all(np.isfinite(y)):
         raise ValueError("masked signal must be finite")
     n_basis = shared.n_basis
 
@@ -223,10 +230,14 @@ def salsa_solve(
     y = y[..., :k]
     track_cost = track_cost or shared.cost_tol is not None
 
-    c = adjoint(y, n_basis)
+    # bins 0..N//2 of each Hermitian iterate; the l1 term counts bins
+    # 1..N-1-N//2 twice, for their mirrors
+    c = np.fft.rfft(y, n=n_basis)
     d = np.zeros_like(c)
-    # per row: threshold and step are columns against the (..., N) iterates,
-    # lam has the cost trace's row shape
+    l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
+    l1_weight[0] = 1.0
+    # per row: threshold and step are columns against the (..., N//2+1)
+    # iterates, lam has the cost trace's row shape
     column = y.shape[:-1] + (1,)
     thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], column)
     step = _column([1.0 / (p.mu + p.p_norm) for p in rows], column)
@@ -235,12 +246,12 @@ def salsa_solve(
 
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
-        d = step * adjoint(y - synthesize(u, k), n_basis)
+        d = step * np.fft.rfft(y - n_basis * np.fft.irfft(u, n_basis)[..., :k], n=n_basis)
         c = d + u
         if track_cost:
-            residual = target - synthesize(c, m_len)
-            cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + lam * np.sum(
-                np.abs(c), axis=-1
+            residual = target - n_basis * np.fft.irfft(c, n_basis)[..., :m_len]
+            cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
+                l1_weight * np.abs(c), axis=-1
             )
             if (
                 shared.cost_tol is not None
@@ -253,6 +264,8 @@ def salsa_solve(
                 cost = cost[..., : i + 1]
                 break
 
+    # the full spectrum: bins N//2+1..N-1 conjugate bins N-1-N//2..1
+    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
     return SalsaState(c=c, cost_history=cost)
 
 

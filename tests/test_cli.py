@@ -383,7 +383,11 @@ class TestSweep:
 
             code = sweep_cut_after(cut, *argv, "--output-dir", str(part))
             assert code == (0 if cut == n_cells else None)
-            assert strict_json((part / "sweep.json").read_text())["cells"] == cells[:cut]
+            # a run cut before its first cell leaves no record; resume starts afresh
+            record = part / "sweep.json"
+            assert record.exists() == (cut > 0)
+            if cut:
+                assert strict_json(record.read_text())["cells"] == cells[:cut]
             assert main([*argv, "--resume", "--output-dir", str(part)]) == 0
             assert sweep_files(part) == sweep_files(full)
 
@@ -524,6 +528,8 @@ class TestSweep:
                    "--horizon", "2", "--seed", "9", "--threads", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
         assert "threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out" / "sweep.json").exists()
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sigcast.salsa
 from sigcast.salsa import (
     ObservationMask,
     SalsaParams,
+    _column,
+    _per_row,
     adjoint,
     salsa_forecast,
     salsa_solve,
@@ -173,6 +176,49 @@ def float_mask_solve(masked, n_observed, params, track_cost=True):
     return c, cost
 
 
+def complex_prefix_solve(masked, mask, params, track_cost=True):
+    """The SALSA loop over the full complex spectrum, with one SalsaParams or one per row.
+
+    This is salsa_solve as it was before its loop kept only the rfft bins:
+    every iteration runs the full-length `synthesize`/`adjoint` pair on
+    complex arrays. Returns (c, cost_history).
+    """
+    y = np.asarray(masked, dtype=complex)
+    k, m_len = mask.n_observed, mask.total_len
+    shared, rows = _per_row(params, y[..., 0].size)
+    n_basis = shared.n_basis
+    target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+    y = y[..., :k]
+    track_cost = track_cost or shared.cost_tol is not None
+    c = adjoint(y, n_basis)
+    d = np.zeros_like(c)
+    column = y.shape[:-1] + (1,)
+    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], column)
+    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], column)
+    lam = _column([p.lam for p in rows], y.shape[:-1])
+    cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
+    for i in range(shared.n_iter):
+        u = soft_threshold(c + d, thresh) - d
+        d = step * adjoint(y - synthesize(u, k), n_basis)
+        c = d + u
+        if track_cost:
+            residual = target - synthesize(c, m_len)
+            cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + lam * np.sum(
+                np.abs(c), axis=-1
+            )
+            if (
+                shared.cost_tol is not None
+                and i > 0
+                and np.all(
+                    np.abs(cost[..., i] - cost[..., i - 1])
+                    <= shared.cost_tol * np.abs(cost[..., i - 1])
+                )
+            ):
+                cost = cost[..., : i + 1]
+                break
+    return c, cost
+
+
 class TestObservationMask:
     @pytest.mark.parametrize("n_observed", [0, 6])
     def test_observed_prefix_within_signal(self, n_observed):
@@ -201,10 +247,53 @@ def test_prefix_loop_matches_float_mask_loop(
     n_observed = data.draw(st.integers(1, m_len))
     params = SalsaParams(mu=mu, lam=lam, n_basis=m_len + extra_basis, n_iter=n_iter,
                          cost_tol=cost_tol)
-    state = salsa_solve(masked, ObservationMask.prefix(n_observed, m_len), params, track_cost)
-    c, cost = float_mask_solve(masked, n_observed, params, track_cost)
-    assert np.array_equal(state.c, c)
-    assert np.array_equal(state.cost_history, cost)
+    mask = ObservationMask.prefix(n_observed, m_len)
+    c, cost = complex_prefix_solve(masked, mask, params, track_cost)
+    c_float, cost_float = float_mask_solve(masked, n_observed, params, track_cost)
+    assert np.array_equal(c, c_float)
+    assert np.array_equal(cost, cost_float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.sampled_from([None, 1, 3]),
+    m_len=st.integers(1, 30),
+    extra_basis=st.integers(0, 21),
+    n_iter=st.integers(1, 40),
+    cost_tol=st.sampled_from([None, 1e-3]),
+    track_cost=st.booleans(),
+)
+def test_half_spectrum_solve_matches_complex_loop(
+    data, rows, m_len, extra_basis, n_iter, cost_tol, track_cost
+):
+    # extra_basis 0 gives N == M, and its parity and m_len's give odd and even N
+    shape = () if rows is None else (rows,)
+    masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
+    mask = ObservationMask.prefix(data.draw(st.integers(1, m_len)), m_len)
+
+    def draw_params():
+        return SalsaParams(mu=data.draw(st.floats(0.05, 5.0)), lam=data.draw(st.floats(0.0, 5.0)),
+                           n_basis=m_len + extra_basis, n_iter=n_iter, cost_tol=cost_tol)
+
+    per_row = rows is not None and data.draw(st.booleans())
+    params = [draw_params() for _ in range(rows)] if per_row else draw_params()
+    state = salsa_solve(masked, mask, params, track_cost)
+    c, cost = complex_prefix_solve(masked, mask, params, track_cost)
+    # the two loops round differently, so with cost_tol they may stop at
+    # different iterations; the traces are compared where both ran, and c
+    # only when both stopped at the same iteration
+    ran = min(cost.shape[-1], state.cost_history.shape[-1])
+    # rtol 1e-9, with a floor of 1e-9 times the row's squared observed data
+    # norm, the cost of c = 0, for costs that a small lam lets fall near 0
+    scale = np.sum(masked[..., : mask.n_observed] ** 2, axis=-1, keepdims=True)
+    gap = np.abs(state.cost_history[..., :ran] - cost[..., :ran])
+    assert np.all(gap <= 1e-9 * (np.abs(cost[..., :ran]) + scale))
+    if state.cost_history.shape[-1] == cost.shape[-1]:
+        # norm-relative 1e-9 per row, with the observed data's norm as a floor
+        err = np.linalg.norm(state.c - c, axis=-1)
+        ref = np.linalg.norm(c, axis=-1) + np.sqrt(scale[..., 0])
+        assert np.all(err <= 1e-9 * ref)
 
 
 class TestSalsaSolve:
@@ -250,6 +339,25 @@ class TestSalsaSolve:
         params = SalsaParams(n_basis=8)
         with pytest.raises(ValueError):
             salsa_solve(np.zeros(9), ObservationMask.prefix(9, 9), params)
+
+    def test_rejects_complex_input(self):
+        masked = np.zeros(10, dtype=complex)
+        masked[7] = 1e-300j  # even a tiny imaginary part, in an unobserved sample
+        with pytest.raises(ValueError, match="masked signal must be real"):
+            salsa_solve(masked, ObservationMask.prefix(5, 10), SalsaParams(n_basis=32))
+
+    def test_soft_threshold_called_once_per_iteration(self, monkeypatch):
+        # perfbench's tracer counts iterations by wrapping this module global
+        calls = []
+
+        def counting(x, threshold):
+            calls.append(x.shape)
+            return soft_threshold(x, threshold)
+
+        monkeypatch.setattr(sigcast.salsa, "soft_threshold", counting)
+        history = np.random.default_rng(6).normal(size=(3, 40))
+        salsa_forecast(history, 5, SalsaParams(n_basis=64, n_iter=7))
+        assert len(calls) == 7
 
     def test_cost_tol_early_stop(self):
         params = SalsaParams(n_basis=64, n_iter=500, cost_tol=1e-3)
