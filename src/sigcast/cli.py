@@ -132,7 +132,7 @@ def _sim_params(args, length: int, seed: int) -> SimParams:
     )
 
 
-def _read_series(args):
+def _read_series(args, last=None):
     column = int(args.column) if str(args.column).lstrip("-").isdigit() else args.column
     spec = CsvSpec(
         path=args.input,
@@ -140,7 +140,7 @@ def _read_series(args):
         skip_header=args.skip_header,
         missing_policy=args.missing_policy,
     )
-    return read_csv_column(spec)
+    return read_csv_column(spec, last)
 
 
 def _method_params(args, methods) -> dict:
@@ -172,11 +172,12 @@ def _resolve_seed(args) -> int:
 def cmd_forecast(args) -> int:
     if args.window < 1:
         raise ValueError(f"window must be >= 1, got {args.window}")
-    series = _read_series(args)
     params = _method_params(args, [args.method])[args.method]
+    params.check_window(args.window, args.horizon)
+    series = _read_series(args, last=args.window)
     if len(series) < args.window:
         raise ValueError(f"series has {len(series)} samples, need window {args.window}")
-    values = forecast(args.method, series.values[-args.window :], args.horizon, params)
+    values = forecast(args.method, series.values, args.horizon, params)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{args.method} forecast is not finite")
 

@@ -3,8 +3,9 @@
 One numeric column is pulled out of an RFC-4180-style CSV into a
 :class:`TimeSeries`. Ordering is taken from row order; dates are never
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
-handled by the configured policy. :func:`csv_text` is the one writer of
-every CSV table sigcast produces.
+handled by the configured policy; a read of only the last values starts
+at the end of the file. :func:`csv_text` is the one writer of every CSV
+table sigcast produces.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import csv
 import io
 import math
+import os
 import numpy as np
 
 from .series import TimeSeries
@@ -24,6 +26,9 @@ __all__ = ["CsvSpec", "read_csv_column", "write_csv"]
 MISSING_POLICIES = ("drop", "forward_fill", "error")
 
 _NA_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
+
+# bytes of the first block _tail_values reads
+_TAIL_BLOCK = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class CsvSpec:
             )
 
 
-def read_csv_column(spec: CsvSpec) -> TimeSeries:
+def read_csv_column(spec: CsvSpec, last: int | None = None) -> TimeSeries:
     """Load the selected column, applying the missing-value policy.
 
     drop         : missing rows are skipped
@@ -59,8 +64,14 @@ def read_csv_column(spec: CsvSpec) -> TimeSeries:
 
     The file is read as UTF-8; a leading byte-order mark is ignored.
     Malformed CSV raises ValueError naming the line.
+
+    With ``last``, only the final ``last`` values are returned (all of them
+    if fewer), read from the end of the file when :func:`_tail_values` can
+    be sure of them: a bad cell or ``error`` gap in a row it does not read
+    then goes unreported.
     """
-    values: list[float] = []
+    if last is not None and last < 1:
+        raise ValueError(f"last must be >= 1, got {last}")
     with open(spec.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -76,42 +87,83 @@ def read_csv_column(spec: CsvSpec) -> TimeSeries:
                 col_idx = spec.column - 1
                 if spec.skip_header:
                     next(reader, None)
-
-            # Rows blank in every cell are held back until a non-blank row
-            # follows: trailing ones are file artifacts, interior ones gaps.
-            held = 0
-            for row_no, row in enumerate(reader, 1):
-                cell = row[col_idx] if col_idx < len(row) else ""
-                token = cell.strip()
-                if not token and not any(c.strip() for c in row):
-                    held += 1
-                    continue
-                if held:
-                    if spec.missing_policy == "error":
-                        raise ValueError(f"missing value at data row {row_no - held}")
-                    if spec.missing_policy == "forward_fill" and values:
-                        values.extend([values[-1]] * held)
-                    held = 0
-                try:
-                    value = float(token)  # "nan" and "inf" parse, and count as missing
-                except ValueError as exc:
-                    if token.lower() not in _NA_TOKENS:
-                        msg = f"unparseable value {cell!r} at data row {row_no}"
-                        raise ValueError(msg) from exc
-                    value = math.nan
-                if math.isfinite(value):
-                    values.append(value)
-                elif spec.missing_policy == "error":
-                    raise ValueError(f"missing value at data row {row_no}")
-                elif spec.missing_policy == "forward_fill" and values:
-                    values.append(values[-1])
-                # else drop, or leading gap under forward_fill
+            values = _tail_values(spec, col_idx, last) if last else None
+            if not values:
+                values = _policy_values(reader, col_idx, spec.missing_policy)
         except csv.Error as exc:
             raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
     if not values:
         raise ValueError(f"no usable rows in {spec.path}")
-    return TimeSeries(values=np.array(values))
+    return TimeSeries(values=np.array(values[-last:] if last else values))
+
+
+def _policy_values(rows, col_idx: int, policy: str) -> list[float]:
+    """The column's values from data rows, numbered from 1, under `policy`."""
+    values: list[float] = []
+    # Rows blank in every cell are held back until a non-blank row
+    # follows: trailing ones are file artifacts, interior ones gaps.
+    held = 0
+    for row_no, row in enumerate(rows, 1):
+        cell = row[col_idx] if col_idx < len(row) else ""
+        token = cell.strip()
+        if not token and not any(c.strip() for c in row):
+            held += 1
+            continue
+        if held:
+            if policy == "error":
+                raise ValueError(f"missing value at data row {row_no - held}")
+            if policy == "forward_fill" and values:
+                values.extend([values[-1]] * held)
+            held = 0
+        try:
+            value = float(token)  # "nan" and "inf" parse, and count as missing
+        except ValueError as exc:
+            if token.lower() not in _NA_TOKENS:
+                raise ValueError(f"unparseable value {cell!r} at data row {row_no}") from exc
+            value = math.nan
+        if math.isfinite(value):
+            values.append(value)
+        elif policy == "error":
+            raise ValueError(f"missing value at data row {row_no}")
+        elif policy == "forward_fill" and values:
+            values.append(values[-1])
+        # else drop, or leading gap under forward_fill
+    return values
+
+
+def _tail_values(spec: CsvSpec, col_idx: int, last: int) -> list[float] | None:
+    """At least `last` of the column's final values, or None when unsure.
+
+    The rows after the first line break of a block at the end of the file
+    (growing fourfold) end in the full read's values: a gap at their start
+    has nothing to fill from and is dropped. None, for a forward read, on a
+    quote (a field may span lines), a bare CR (no LF to start after), bytes
+    that are not UTF-8, malformed CSV, a row the policy refuses, or a block
+    reaching byte 0.
+    """
+    if not os.path.isfile(spec.path):
+        return None  # a pipe has no end to read from, and a second open may block
+    with open(spec.path, "rb") as fh:
+        end = fh.seek(0, io.SEEK_END)
+        size = _TAIL_BLOCK
+        while size < end:
+            fh.seek(end - size)
+            block = fh.read(size)
+            if b'"' in block or block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            cut = block.find(b"\n") + 1
+            if cut:
+                try:
+                    text = block[cut:].decode("utf-8")
+                    values = _policy_values(csv.reader(io.StringIO(text, newline="")),
+                                            col_idx, spec.missing_policy)
+                except (ValueError, csv.Error):
+                    return None
+                if len(values) >= last:
+                    return values
+            size *= 4
+    return None
 
 
 def csv_text(header, rows) -> str:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import sigcast.cli
 import sigcast.harness
+from sigcast import ingest
 from sigcast.baselines import linear_forecast
 from sigcast.causal import causal_forecast
 from sigcast.cli import main
@@ -178,6 +179,61 @@ class TestForecast:
                    "--n-iter", "20", "--nu", "0", "--output-dir", str(tmp_path / "out")) == 0
         assert run("forecast", "--input", str(src), "--column", "value", "--method", "causal",
                    "--nu", "0", "--output-dir", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("options", [
+        ["--method", "causal", "--window", "50"],
+        ["--method", "salsa", "--window", "191", "--horizon", "10"],
+    ], ids=["causal_not_2N+1", "salsa_beyond_n_basis"])
+    def test_window_checked_before_reading(self, tmp_path, capsys, monkeypatch, options):
+        calls = []
+        monkeypatch.setattr(sigcast.cli, "read_csv_column", lambda *a: calls.append(a))
+        assert run("forecast", "--input", str(tmp_path / "input.csv"), *options,
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert calls == []
+        assert "got window" in capsys.readouterr().err
+
+
+def _long_csv(path, cells, newline="\n"):
+    """An index,value CSV of the given value cells, several tail blocks long."""
+    rows = ["index,value"] + [f"{i},{cell}" for i, cell in enumerate(cells)]
+    path.write_bytes(newline.join(rows).encode() + newline.encode())
+    return path
+
+
+class TestForecastReadsTail:
+    """forecast reads its file from the end; experiment reads all of it."""
+
+    values = generate_path(SimParams(length=3000, seed=6)).values
+    cells = [repr(v) for v in values.tolist()]
+
+    def forecast_text(self, src, out, code=0):
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "causal",
+                   "--output-dir", str(out)) == code
+        return (out / "forecast.txt").read_bytes() if code == 0 else None
+
+    def test_bad_first_row_not_read(self, tmp_path, capsys):
+        assert len(_long_csv(tmp_path / "a.csv", self.cells).read_bytes()) > 2 * ingest._TAIL_BLOCK
+        clean = self.forecast_text(tmp_path / "a.csv", tmp_path / "a")
+        bad = _long_csv(tmp_path / "bad.csv", ["bogus"] + self.cells[1:])
+        assert self.forecast_text(bad, tmp_path / "bad") == clean
+        assert run("experiment", "--input", str(bad), "--column", "value", "--horizon", "5",
+                   "--output-dir", str(tmp_path / "ex")) == 1
+        assert "unparseable value 'bogus' at data row 1" in capsys.readouterr().err
+
+    def test_bad_row_in_tail_named_as_full_read_does(self, tmp_path, capsys):
+        bad = _long_csv(tmp_path / "bad.csv", self.cells[:2980] + ["bogus"] + self.cells[2981:])
+        self.forecast_text(bad, tmp_path / "out", code=1)
+        assert "unparseable value 'bogus' at data row 2981" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells, newline", [
+        ("plain", "\n"), ("plain", "\r\n"), ("plain", "\r"), ("quoted", "\n")])
+    def test_same_bytes_as_full_read(self, tmp_path, cells, newline):
+        cells = self.cells if cells == "plain" else [f'"{c}"' for c in self.cells]
+        src = _long_csv(tmp_path / "in.csv", cells, newline)
+        full = read_csv_column(CsvSpec(path=src, column="value"))
+        assert np.array_equal(full.values, self.values)
+        expected = "".join(f"{v!r}\n" for v in causal_forecast(full.values[-91:], 10).tolist())
+        assert self.forecast_text(src, tmp_path / "out") == expected.encode()
 
 
 class TestExperiment:

@@ -1,11 +1,15 @@
 import csv
 import io
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sigcast.ingest
 from sigcast.ingest import MISSING_POLICIES, CsvSpec, read_csv_column, write_csv
 from sigcast.series import TimeSeries
 
@@ -200,9 +204,12 @@ _other_cell = st.one_of(
     st.text(alphabet="abc ,\n\"", max_size=5),
 )
 
+_clean_value_cell = st.one_of(*[_number] * 6, _na, _nonfinite).flatmap(_padded)
+_clean_other_cell = st.sampled_from(["", " ", "x", "a b"])
+
 
 @st.composite
-def _csv_case(draw):
+def _csv_case(draw, max_rows=12, value_cell=_value_cell, other_cell=_other_cell):
     """A CSV text and a spec selecting one of its columns."""
     width = draw(st.integers(1, 4))
     col = draw(st.integers(1, width))
@@ -214,9 +221,9 @@ def _csv_case(draw):
         if kind == "spaces":
             return draw(st.lists(st.sampled_from([" ", "\t", "  "]), min_size=1, max_size=3))
         n = width if kind == "full" else draw(st.integers(1, max(1, col - 1)))
-        return [draw(_value_cell) if i == col - 1 else draw(_other_cell) for i in range(n)]
+        return [draw(value_cell) if i == col - 1 else draw(other_cell) for i in range(n)]
 
-    rows = [data_row() for _ in range(draw(st.integers(0, 12)))]
+    rows = [data_row() for _ in range(draw(st.integers(0, max_rows)))]
     mode = draw(st.sampled_from(["name", "index", "index_skip_header"]))
     if mode == "name":
         names = [f"c{i}" for i in range(width)]
@@ -233,7 +240,7 @@ def _csv_case(draw):
     spec_kw["missing_policy"] = draw(st.sampled_from(MISSING_POLICIES))
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     writer.writerows(rows)
     text = buf.getvalue()
     if text and draw(st.booleans()):
@@ -258,6 +265,86 @@ class TestStreamingMatchesTwoPassReader:
         path.write_bytes(text.encode("ascii"))
         spec = CsvSpec(path=path, **spec_kw)
         assert _outcome(read_csv_column, spec) == _outcome(_oracle_read_csv_column, spec)
+
+
+class TestTailRead:
+    """read_csv_column(spec, last) against the full forward read."""
+
+    # longer files with no garbage and no quotes take the backward read more often
+    @given(case=st.one_of(_csv_case(), _csv_case(40, _clean_value_cell, _clean_other_cell)),
+           block=st.integers(1, 40), last=st.integers(1, 6))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_tail_or_same_error(self, tmp_path, case, block, last):
+        text, spec_kw = case
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("ascii"))
+        spec = CsvSpec(path=path, **spec_kw)
+        full_values, full_error = _outcome(read_csv_column, spec)
+        with mock.patch.object(sigcast.ingest, "_TAIL_BLOCK", block):
+            tail_values, tail_error = _outcome(lambda s: read_csv_column(s, last), spec)
+        if tail_error is not None:
+            assert tail_error == full_error
+        elif full_error is None:
+            n = len(full_values) // 8
+            assert tail_values == full_values[-8 * min(last, n):]
+        # else: the full read fails on a row the tail read does not reach
+
+    def test_bad_row_before_the_tail_is_not_read(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "bogus\n" + "".join(f"{i}.5\n" for i in range(100)))
+        spec = CsvSpec(path=path)
+        with pytest.raises(ValueError, match="unparseable value 'bogus' at data row 1"):
+            read_csv_column(spec)
+        monkeypatch.setattr(sigcast.ingest, "_TAIL_BLOCK", 64)
+        assert read_csv_column(spec, 3).values.tolist() == [97.5, 98.5, 99.5]
+
+    @pytest.mark.parametrize("policy", ["drop", "forward_fill"])
+    def test_every_block_size_and_last(self, tmp_path, monkeypatch, policy):
+        # a block's first line is cut short wherever the block starts
+        path = write(tmp_path, "v,w\n12.5,x\n,\n-3e-05,yy\nNA,\n 7 ,z\n100.25,w\n\n8,\n\n")
+        spec = CsvSpec(path=path, column="v", missing_policy=policy)
+        full = read_csv_column(spec).values.tolist()
+        for block in range(1, 60):
+            monkeypatch.setattr(sigcast.ingest, "_TAIL_BLOCK", block)
+            for last in range(1, len(full) + 2):
+                assert read_csv_column(spec, last).values.tolist() == full[-last:]
+
+    def test_quoted_field_spanning_lines(self, tmp_path, monkeypatch):
+        # from its second line on, the quoted note reads as a row whose value is 7
+        path = write(tmp_path, 'v,note\n1,a\n2,"z\n7,"\n3,b\n')
+        spec = CsvSpec(path=path, column="v")
+        assert read_csv_column(spec).values.tolist() == [1.0, 2.0, 3.0]
+        for block in range(1, 30):
+            monkeypatch.setattr(sigcast.ingest, "_TAIL_BLOCK", block)
+            assert read_csv_column(spec, 1).values.tolist() == [3.0]
+            assert read_csv_column(spec, 2).values.tolist() == [2.0, 3.0]
+
+    def test_fewer_values_than_last_returns_all(self, tmp_path):
+        path = write(tmp_path, "1\n2\n3\n")
+        assert read_csv_column(CsvSpec(path=path), 5).values.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("last", [0, -2])
+    def test_last_must_be_positive(self, tmp_path, last):
+        path = write(tmp_path, "1\n2\n")
+        with pytest.raises(ValueError, match="last must be >= 1"):
+            read_csv_column(CsvSpec(path=path), last)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_forwards(self, tmp_path, monkeypatch):
+        # a second open of a pipe whose writer has closed would wait forever
+        monkeypatch.setattr(sigcast.ingest, "_TAIL_BLOCK", 4)
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("1\n2\n3\n4\n",), daemon=True)
+        result = {}
+        reader = threading.Thread(
+            target=lambda: result.update(ts=read_csv_column(CsvSpec(path=path), 2)), daemon=True)
+        writer.start()
+        reader.start()
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert result["ts"].values.tolist() == [3.0, 4.0]
 
 
 class TestWriteCsv:
