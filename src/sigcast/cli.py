@@ -172,6 +172,8 @@ def _resolve_seed(args) -> int:
 def cmd_forecast(args) -> int:
     if args.window < 1:
         raise ValueError(f"window must be >= 1, got {args.window}")
+    if args.horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {args.horizon}")
     params = _method_params(args, [args.method])[args.method]
     params.check_window(args.window, args.horizon)
     series = _read_series(args, last=args.window)
@@ -202,7 +204,6 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    series = _read_series(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     params = _method_params(args, methods)
     # causal's ma_width also draws plot_data.csv's smoothed column
@@ -215,7 +216,7 @@ def cmd_experiment(args) -> int:
         lookahead_smoothing=args.lookahead_smoothing,
         **params,
     )
-    result = run_experiment(series, config)
+    result = run_experiment(_read_series(args), config)
     out = _out_dir(args)
     (out / f"report.{FORMATS[args.format]}").write_text(render_report(result, args.format))
     (out / "plot_data.csv").write_text(render_plot_csv(result))

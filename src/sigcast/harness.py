@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import LinearParams, linear_forecast
 from .causal import CausalParams, causal_forecast, moving_average
-from .ingest import csv_text
+from .ingest import csv_text, float_cells
 from .salsa import SalsaParams, salsa_forecast
 from .series import (
     ResidualReport,
@@ -265,10 +265,16 @@ def render_plot_csv(result: ExperimentResult) -> str:
 
     Columns: series index, raw truth, the smoothed series at that index,
     then one forecast-track column per method. Failed windows, and any
-    other value that is not finite, leave empty cells.
+    other value that is not finite, leave empty cells. At a stride below
+    the horizon a series sample is the target of several windows, so each
+    distinct value of the raw and smoothed columns is formatted once.
     """
     methods = result.config.methods
     idx = result.target_indices
-    floats = [result.truth_track, result.smoothed_series[idx], *(result.tracks[m] for m in methods)]
-    columns = [idx.tolist()] + [np.where(np.isfinite(c), c, None).tolist() for c in floats]
+    columns = [
+        idx.tolist(),
+        float_cells(result.truth_track, repeats=True),
+        float_cells(result.smoothed_series[idx], repeats=True),
+        *(float_cells(result.tracks[m]) for m in methods),
+    ]
     return csv_text(["index", "raw", "smoothed", *methods], zip(*columns))

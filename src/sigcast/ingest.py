@@ -5,7 +5,8 @@ One numeric column is pulled out of an RFC-4180-style CSV into a
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
 handled by the configured policy; a read of only the last values starts
 at the end of the file. :func:`csv_text` is the one writer of every CSV
-table sigcast produces.
+table sigcast produces, and :func:`float_cells` formats a column of floats
+for it.
 """
 
 from __future__ import annotations
@@ -170,14 +171,30 @@ def csv_text(header, rows) -> str:
     """Every CSV table sigcast writes, as text.
 
     Python floats become their shortest round-trip repr, None an empty
-    cell, and lines end in "\\n". Pass Python scalars (``.tolist()``), not
-    numpy ones, so the repr is Python's.
+    cell, and lines end in "\\n". String cells, such as those of
+    :func:`float_cells`, are written as they are (quoted only if they hold
+    a comma, a quote or a line break). Pass Python scalars (``.tolist()``),
+    not numpy ones, so the repr is Python's.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def float_cells(values: np.ndarray, repeats: bool = False) -> list[str]:
+    """The cells of a 1-D float array: each value's repr, "" where not finite.
+
+    With `repeats`, each distinct value is formatted once and its text
+    reused for every repeat. Values are told apart by their bits, so 0.0
+    and -0.0 keep their own text.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if repeats:
+        keys, where = np.unique(values.view(np.int64), return_inverse=True)
+        return np.array(float_cells(keys.view(np.float64)), dtype=object)[where].tolist()
+    return [repr(v) if math.isfinite(v) else "" for v in values.tolist()]
 
 
 def write_csv(series: TimeSeries, path: str | Path) -> None:

@@ -192,6 +192,16 @@ class TestForecast:
         assert calls == []
         assert "got window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_checked_before_reading(self, tmp_path, capsys, monkeypatch, horizon):
+        def never_read(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(sigcast.cli, "read_csv_column", never_read)
+        assert run("forecast", "--input", str(tmp_path / "missing.csv"), "--method", "linear",
+                   "--horizon", horizon, "--output-dir", str(tmp_path / "out")) == 1
+        assert f"horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+
 
 def _long_csv(path, cells, newline="\n"):
     """An index,value CSV of the given value cells, several tail blocks long."""
@@ -291,6 +301,25 @@ class TestExperiment:
                    "--horizon", "5", *options, "--output-dir", str(out)) == 1
         assert "needs" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (("--horizon", "0"), "horizon must be >= 1, got 0"),
+        (("--horizon", "5", "--stride", "0"), "stride must be >= 1, got 0"),
+        (("--horizon", "5", "--window", "0"), "window_len must be >= 1, got 0"),
+        (("--horizon", "5", "--nu", "0"), "nu must be positive, got 0.0"),
+        (("--horizon", "5", "--methods", "linear,bogus"), "unknown methods: ['bogus']"),
+    ], ids=["horizon", "stride", "window", "method_option", "method_name"])
+    def test_config_checked_before_reading(self, tmp_path, capsys, monkeypatch, options,
+                                           message):
+        def never_read(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(sigcast.cli, "read_csv_column", never_read)
+        out = tmp_path / "out"
+        assert run("experiment", "--input", str(tmp_path / "missing.csv"), *options,
+                   "--output-dir", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_disabled_methods_options_not_built(self, tmp_path):
         # --n-basis 0 is no valid SALSA dictionary and --nu 0 no causal regularizer, but

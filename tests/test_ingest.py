@@ -256,7 +256,8 @@ def _outcome(read, spec):
 
 
 class TestStreamingMatchesTwoPassReader:
-    @given(case=_csv_case())
+    # the clean longer files are ones both reads accept far more often
+    @given(case=st.one_of(_csv_case(), _csv_case(40, _clean_value_cell, _clean_other_cell)))
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_values_or_same_error(self, tmp_path, case):

@@ -3,8 +3,8 @@
 The `_reference_*` functions are the earlier writers, which formatted each
 cell by hand (repr of a float, "" for a missing value). The properties
 check that the writers built on `ingest.csv_text` give the same bytes,
-including for NaN (failed) track cells, -0.0, subnormals, +-1e308 and
-integral floats, and that the written files read back bit for bit.
+including for NaN (failed) track cells, +-inf, -0.0, subnormals, +-1e308
+and integral floats, and that the written files read back bit for bit.
 """
 
 import csv
@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigcast.cli
+import sigcast.harness
+from sigcast.baselines import linear_forecast
 from sigcast.harness import (
     METHOD_ORDER,
     ExperimentConfig,
@@ -26,9 +28,10 @@ from sigcast.harness import (
     _table_cells,
     render_plot_csv,
     render_report,
+    run_experiment,
 )
 from sigcast.ingest import CsvSpec, read_csv_column, write_csv
-from sigcast.montecarlo import SimParams, SweepGrid, SweepRow, SweepTable
+from sigcast.montecarlo import SimParams, SweepGrid, SweepRow, SweepTable, generate_path
 from sigcast.series import ResidualReport, SummaryStats, TimeSeries
 
 
@@ -45,16 +48,17 @@ def _reference_render_report_csv(result):
 
 
 def _reference_render_plot_csv(result):
+    def cell(v):
+        return repr(float(v)) if np.isfinite(v) else ""
+
     methods = result.config.methods
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "raw", "smoothed"] + list(methods))
     smoothed = result.smoothed_series
     for i, idx in enumerate(result.target_indices):
-        row = [int(idx), repr(float(result.truth_track[i])), repr(float(smoothed[idx]))]
-        for m in methods:
-            v = result.tracks[m][i]
-            row.append("" if np.isnan(v) else repr(float(v)))
+        row = [int(idx), cell(result.truth_track[i]), cell(smoothed[idx])]
+        row += [cell(result.tracks[m][i]) for m in methods]
         writer.writerow(row)
     return buf.getvalue()
 
@@ -91,6 +95,8 @@ _EDGES = [
 finite = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
 # a scalar statistic may overflow to inf (squared residuals near the float limit)
 scalar = st.one_of(finite, st.sampled_from([np.inf, -np.inf]))
+# a plot value: +-inf is an empty cell, and -0.0 keeps its sign
+plot_value = st.one_of(finite, st.sampled_from([np.inf, -np.inf, -0.0]))
 
 
 def _stats(draw):
@@ -100,14 +106,34 @@ def _stats(draw):
 
 @st.composite
 def results(draw):
-    """An ExperimentResult with arbitrary values; track cells NaN where failed."""
+    """An ExperimentResult with arbitrary values; track cells NaN where failed.
+
+    The truth is either arbitrary, so one index may hold several values
+    (0.0 and -0.0 among them), or a series read at the targets of
+    overlapping windows, as run_experiment lays them out.
+    """
     methods = tuple(m for m in METHOD_ORDER if draw(st.booleans())) or ("linear",)
     config = ExperimentConfig(horizon=2, methods=methods)
-    n = draw(st.integers(1, 30))
-    smoothed = np.array(draw(st.lists(finite, min_size=1, max_size=40)))
+    if draw(st.booleans()):
+        horizon = draw(st.integers(2, 6))
+        stride = draw(st.integers(1, horizon - 1))
+        window = draw(st.integers(1, 5))
+        series = np.array(draw(st.lists(plot_value, min_size=window + horizon, max_size=40)))
+        smoothed = np.array(draw(st.lists(plot_value, min_size=series.size,
+                                          max_size=series.size)))
+        starts = np.arange(0, series.size - window - horizon + 1, stride)
+        target_indices = (starts[:, None] + window + np.arange(horizon)).reshape(-1)
+        truth_track = series[target_indices]
+        n = target_indices.size
+    else:
+        n = draw(st.integers(1, 30))
+        smoothed = np.array(draw(st.lists(plot_value, min_size=1, max_size=40)))
+        target_indices = np.array(draw(st.lists(
+            st.integers(0, smoothed.size - 1), min_size=n, max_size=n)), dtype=np.int64)
+        truth_track = np.array(draw(st.lists(plot_value, min_size=n, max_size=n)))
     tracks, residuals, track_stats = {}, {}, {}
     for m in methods:
-        cells = draw(st.lists(st.one_of(finite, st.just(np.nan)), min_size=n, max_size=n))
+        cells = draw(st.lists(st.one_of(plot_value, st.just(np.nan)), min_size=n, max_size=n))
         tracks[m] = np.array(cells)
         if draw(st.booleans()):
             residuals[m], track_stats[m] = None, None
@@ -117,9 +143,8 @@ def results(draw):
     return ExperimentResult(
         config=config,
         n_windows=n,
-        target_indices=np.array(draw(st.lists(
-            st.integers(0, smoothed.size - 1), min_size=n, max_size=n)), dtype=np.int64),
-        truth_track=np.array(draw(st.lists(finite, min_size=n, max_size=n))),
+        target_indices=target_indices,
+        truth_track=truth_track,
         tracks=tracks,
         residuals=residuals,
         track_stats=track_stats,
@@ -144,6 +169,24 @@ sweep_rows = st.builds(
 @given(results())
 def test_plot_csv_matches_per_cell_writer(result):
     assert render_plot_csv(result) == _reference_render_plot_csv(result)
+
+
+def test_plot_csv_of_stride_one_run_with_a_failed_window(monkeypatch):
+    def one_failed_window(history, horizon, params):
+        fc = linear_forecast(history, horizon, params).copy()
+        fc[3, 1] = np.nan
+        return fc
+
+    monkeypatch.setattr(sigcast.harness, "linear_forecast", one_failed_window)
+    series = generate_path(SimParams(length=120, seed=5))
+    config = ExperimentConfig(horizon=5, stride=1, methods=("causal", "linear"))
+    result = run_experiment(series, config)
+    assert result.failures == {"causal": [], "linear": [3]}
+    text = render_plot_csv(result)
+    assert text == _reference_render_plot_csv(result)
+    rows = text.splitlines()[1:]
+    assert len(rows) == 25 * 5
+    assert [i for i, row in enumerate(rows) if row.endswith(",")] == list(range(15, 20))
 
 
 @settings(max_examples=150, deadline=None)
