@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import secrets
@@ -169,11 +170,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _check_at_least_one(**options):
+    """Refuse an option below 1 by its name, before any input is read."""
+    for name, value in options.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def cmd_forecast(args) -> int:
-    if args.window < 1:
-        raise ValueError(f"window must be >= 1, got {args.window}")
-    if args.horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {args.horizon}")
+    _check_at_least_one(window=args.window, horizon=args.horizon)
     params = _method_params(args, [args.method])[args.method]
     params.check_window(args.window, args.horizon)
     series = _read_series(args, last=args.window)
@@ -204,6 +209,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_at_least_one(window=args.window)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     params = _method_params(args, methods)
     # causal's ma_width also draws plot_data.csv's smoothed column
@@ -271,7 +277,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every call: do not change it.
+
+    Each parse returns a fresh namespace, so no call's options reach the next.
+    """
     parser = _Parser(
         prog="sigcast",
         description="Sparse-recovery, band-limited and linear extrapolation forecasting",

@@ -268,11 +268,13 @@ def render_plot_csv(result: ExperimentResult) -> str:
     other value that is not finite, leave empty cells. At a stride below
     the horizon a series sample is the target of several windows, so each
     distinct value of the raw and smoothed columns is formatted once.
+    Every cell reaches :func:`csv_text` as a string, so the table is joined
+    directly.
     """
     methods = result.config.methods
     idx = result.target_indices
     columns = [
-        idx.tolist(),
+        map(str, idx.tolist()),
         float_cells(result.truth_track, repeats=True),
         float_cells(result.smoothed_series[idx], repeats=True),
         *(float_cells(result.tracks[m]) for m in methods),

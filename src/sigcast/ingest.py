@@ -173,13 +173,28 @@ def csv_text(header, rows) -> str:
     Python floats become their shortest round-trip repr, None an empty
     cell, and lines end in "\\n". String cells, such as those of
     :func:`float_cells`, are written as they are (quoted only if they hold
-    a comma, a quote or a line break). Pass Python scalars (``.tolist()``),
-    not numpy ones, so the repr is Python's.
+    a comma, a quote or a line feed). Pass Python scalars (``.tolist()``),
+    not numpy ones, so the repr is Python's, and each row as a sequence.
+
+    A table whose cells are all strings, with at least two cells in every
+    row and no comma, quote or line break inside a cell, is joined
+    directly; any other table goes through ``csv.writer``. Both give the
+    same bytes.
     """
+    rows = [header, *rows]
+    try:
+        text = "\n".join(map(",".join, rows)) + "\n"
+    except TypeError:  # a cell that is not a string
+        pass
+    else:
+        # no cell added a separator or a character the writer would quote
+        if (min(map(len, rows)) > 1
+                and text.count(",") == sum(map(len, rows)) - len(rows)
+                and text.count("\n") == len(rows)
+                and '"' not in text and "\r" not in text):
+            return text
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 

@@ -15,7 +15,7 @@ import sigcast.harness
 from sigcast import ingest
 from sigcast.baselines import linear_forecast
 from sigcast.causal import causal_forecast
-from sigcast.cli import main
+from sigcast.cli import build_parser, main
 from sigcast.ingest import CsvSpec, read_csv_column, write_csv
 from sigcast.montecarlo import SimParams, generate_path
 from sigcast.salsa import salsa_forecast, synthesize
@@ -305,7 +305,7 @@ class TestExperiment:
     @pytest.mark.parametrize("options, message", [
         (("--horizon", "0"), "horizon must be >= 1, got 0"),
         (("--horizon", "5", "--stride", "0"), "stride must be >= 1, got 0"),
-        (("--horizon", "5", "--window", "0"), "window_len must be >= 1, got 0"),
+        (("--horizon", "5", "--window", "0"), "window must be >= 1, got 0"),
         (("--horizon", "5", "--nu", "0"), "nu must be positive, got 0.0"),
         (("--horizon", "5", "--methods", "linear,bogus"), "unknown methods: ['bogus']"),
     ], ids=["horizon", "stride", "window", "method_option", "method_name"])
@@ -659,6 +659,18 @@ class TestParsing:
         text = capsys.readouterr().out
         for token in ("0.6", "200", "1000", "0.1"):
             assert token in text
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_of_one_call_do_not_reach_the_next(self, tmp_path):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, np.arange(120.0))
+        args = ("forecast", "--input", str(src), "--column", "value", "--method", "linear",
+                "--output-dir", str(tmp_path))
+        for options, window in ((("--window", "50"), 50), ((), 91)):
+            assert run(*args, *options) == 0
+            assert json.loads((tmp_path / "forecast_params.json").read_text())["window"] == window
 
     def test_grid_range_syntax(self):
         from sigcast.cli import _parse_grid_values

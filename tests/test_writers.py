@@ -5,6 +5,8 @@ cell by hand (repr of a float, "" for a missing value). The properties
 check that the writers built on `ingest.csv_text` give the same bytes,
 including for NaN (failed) track cells, +-inf, -0.0, subnormals, +-1e308
 and integral floats, and that the written files read back bit for bit.
+`csv_text` itself, which joins all-string tables without `csv.writer`, is
+checked against a plain `csv.writer` on cells that need quoting.
 """
 
 import csv
@@ -15,11 +17,13 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigcast.cli
 import sigcast.harness
+import sigcast.ingest
 from sigcast.baselines import linear_forecast
 from sigcast.harness import (
     METHOD_ORDER,
@@ -30,9 +34,17 @@ from sigcast.harness import (
     render_report,
     run_experiment,
 )
-from sigcast.ingest import CsvSpec, read_csv_column, write_csv
+from sigcast.ingest import CsvSpec, csv_text, read_csv_column, write_csv
 from sigcast.montecarlo import SimParams, SweepGrid, SweepRow, SweepTable, generate_path
 from sigcast.series import ResidualReport, SummaryStats, TimeSeries
+
+
+def _reference_csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _reference_render_report_csv(result):
@@ -182,11 +194,76 @@ def test_plot_csv_of_stride_one_run_with_a_failed_window(monkeypatch):
     config = ExperimentConfig(horizon=5, stride=1, methods=("causal", "linear"))
     result = run_experiment(series, config)
     assert result.failures == {"causal": [], "linear": [3]}
-    text = render_plot_csv(result)
-    assert text == _reference_render_plot_csv(result)
+    expected = _reference_render_plot_csv(result)
+    # every plot cell is a string, so the table is joined without csv.writer
+    with mock.patch.object(sigcast.ingest.csv, "writer", side_effect=AssertionError):
+        text = render_plot_csv(result)
+    assert text == expected
     rows = text.splitlines()[1:]
     assert len(rows) == 25 * 5
     assert [i for i, row in enumerate(rows) if row.endswith(",")] == list(range(15, 20))
+
+
+_plain_cell = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=4)
+# a comma cell in a narrow row is what a per-row comma count must catch
+_comma_cell = st.sampled_from([",", "a,b", " , "])
+# cells the writer quotes or formats
+_odd_cell = st.one_of(
+    st.sampled_from(['"', 'a"b', "\r", "\n", "a\r\nb", ",\n"]),
+    st.sampled_from([0, -7, 0.5, float("nan"), None]),
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a"]), max_size=4),
+    st.integers(), st.floats(),
+)
+
+
+@st.composite
+def tables(draw):
+    """A header and rows, and whether to pass the rows as a one-shot iterator.
+
+    The cells are strings without a comma, quote or line break, with up to
+    two swapped for a cell holding a comma and two for another odd cell.
+    The rows share one width w, or have widths w - 1 and w (at least 2), or
+    0-4 with ("",) among them; the header may have no rows. Rows are tuples
+    or lists.
+    """
+    width = draw(st.integers(2, 4))
+    row = draw(st.sampled_from([
+        st.lists(_plain_cell, min_size=width, max_size=width),
+        st.lists(_plain_cell, min_size=max(2, width - 1), max_size=width),
+        st.lists(_plain_cell, max_size=4) | st.just([""]),
+    ]))
+    table = [list(r) for r in draw(st.lists(row, min_size=1, max_size=5))]
+    for odd in draw(st.lists(_comma_cell, max_size=2)) + draw(st.lists(_odd_cell, max_size=2)):
+        cells = draw(st.sampled_from(table))
+        if cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = odd
+    header, *rows = table
+    rows = [draw(st.sampled_from([tuple, list]))(r) for r in rows]
+    return header, rows, draw(st.booleans())
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a", "b", "c"], [("a,b", "c")]),
+    (["a", "b"], [("a,b",)]),
+    (["a", "b"], [('"', "")]),
+    (["a", "b"], [("\r", "")]),
+    (["a", "b"], [("a\nb", "")]),
+    (["a", "b"], [("",)]),
+    (["a", "b"], [()]),
+    ([""], []),
+    (["a", "b"], [(1, 0.5), (None, "x")]),
+], ids=["comma_in_narrow_row", "comma_in_one_cell_row", "quote", "cr", "lf",
+        "one_empty_cell", "empty_row", "one_empty_header_cell", "not_strings"])
+def test_csv_text_near_misses_match_csv_writer(header, rows):
+    assert csv_text(header, rows) == _reference_csv_text(header, rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables())
+def test_csv_text_matches_csv_writer(table):
+    header, rows, one_shot = table
+    expected = _reference_csv_text(header, rows)
+    assert csv_text(header, iter(rows) if one_shot else rows) == expected
 
 
 @settings(max_examples=150, deadline=None)
