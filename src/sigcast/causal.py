@@ -78,10 +78,16 @@ class CausalParams:
         return 2 * self.n_harmonics + 1
 
     def check_window(self, window: int, horizon: int) -> None:
-        """Raise ValueError unless `window` is the 2N+1 samples the pipeline expects."""
+        """Raise ValueError unless `window` is the 2N+1 samples the pipeline
+        expects and holds one moving-average width."""
         if window != self.window_len:
             raise ValueError(
                 f"causal needs a window of 2*n_harmonics+1 = {self.window_len}; "
+                f"got window {window}, horizon {horizon}"
+            )
+        if window < self.ma_width:
+            raise ValueError(
+                f"causal needs window >= ma_width = {self.ma_width}; "
                 f"got window {window}, horizon {horizon}"
             )
 

@@ -203,8 +203,8 @@ def cmd_forecast(args) -> int:
             text = csv_text(["step", "value"], enumerate(values, 1))
         else:
             text = "\n".join(map(repr, values)) + "\n"
-        (out / "forecast_params.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (out / f"forecast.{FORMATS[args.format]}").write_text(text)
+        _write_atomic(out / "forecast_params.json", json.dumps(meta, indent=2) + "\n")
+    _write_atomic(out / f"forecast.{FORMATS[args.format]}", text)
     return 0
 
 
@@ -224,19 +224,21 @@ def cmd_experiment(args) -> int:
     )
     result = run_experiment(_read_series(args), config)
     out = _out_dir(args)
-    (out / f"report.{FORMATS[args.format]}").write_text(render_report(result, args.format))
-    (out / "plot_data.csv").write_text(render_plot_csv(result))
+    _write_atomic(out / f"report.{FORMATS[args.format]}", render_report(result, args.format))
+    _write_atomic(out / "plot_data.csv", render_plot_csv(result))
     return 0
 
 
 def _write_atomic(path: Path, text: str) -> None:
     """Replace path's contents so an interrupted write leaves the old file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    # newline="" keeps "\n" line ends on every platform
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
 def cmd_sweep(args) -> int:
+    _check_at_least_one(threads=args.threads)
     grid = SweepGrid(
         mu_values=_parse_grid_values(args.mu_values),
         lambda_values=_parse_grid_values(args.lambda_values),

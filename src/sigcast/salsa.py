@@ -15,7 +15,7 @@ soft-threshold proximal step.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,24 +35,24 @@ __all__ = [
 class SalsaParams:
     """SALSA hyperparameters.
 
-    mu              : ADMM penalty parameter (> 0, finite)
-    lam             : l1 regularization weight, the noise level knob (>= 0, finite)
-    n_basis         : dictionary length N (>= signal length M)
-    n_iter          : number of iterations
-    threshold_scale : multiplier on lam/mu inside the shrinkage threshold
-    p_norm          : penalty normalization constant; None means n_basis,
-                      which is exact because A A^H = N I
-    cost_tol        : optional relative cost-change stopping tolerance;
-                      None (default) runs all n_iter iterations
+    mu      : ADMM penalty parameter (> 0, finite)
+    lam     : l1 regularization weight, the noise level knob (>= 0, finite)
+    n_basis : dictionary length N (>= signal length M)
+    n_iter  : number of iterations
+
+    threshold_scale (0.5, the multiplier on lam/mu inside the shrinkage
+    threshold), p_norm (n_basis, exact because A A^H = N I) and cost_tol
+    (None) are fixed, not arguments; they stay fields only because the
+    `forecast` command's params record prints all seven.
     """
 
     mu: float = 0.6
     lam: float = 1.0
     n_basis: int = 200
     n_iter: int = 1000
-    threshold_scale: float = 0.5
-    p_norm: float | None = None
-    cost_tol: float | None = None
+    threshold_scale: float = field(default=0.5, init=False)
+    p_norm: float = field(init=False)
+    cost_tol: None = field(default=None, init=False)
 
     def __post_init__(self):
         if not 0 < self.mu < np.inf:
@@ -63,14 +63,7 @@ class SalsaParams:
             raise ValueError(f"n_basis must be positive, got {self.n_basis}")
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be positive, got {self.n_iter}")
-        if not self.threshold_scale > 0:
-            raise ValueError(f"threshold_scale must be positive, got {self.threshold_scale}")
-        if self.p_norm is None:
-            object.__setattr__(self, "p_norm", float(self.n_basis))
-        elif not self.p_norm > 0:
-            raise ValueError(f"p_norm must be positive, got {self.p_norm}")
-        if self.cost_tol is not None and not self.cost_tol >= 0:
-            raise ValueError(f"cost_tol must be nonnegative, got {self.cost_tol}")
+        object.__setattr__(self, "p_norm", float(self.n_basis))
 
     def check_window(self, window: int, horizon: int) -> None:
         """Raise ValueError unless `window` samples and `horizon` more fit the dictionary."""
@@ -155,7 +148,7 @@ def _per_row(params, n_rows: int):
     """The params every row shares, and one SalsaParams per row.
 
     One SalsaParams applies to all rows; a sequence gives one per row, and
-    its rows must share n_basis, n_iter and cost_tol, which fix the solve.
+    its rows must share n_basis and n_iter, which fix the solve.
     """
     if isinstance(params, SalsaParams):
         return params, [params] * n_rows
@@ -163,9 +156,8 @@ def _per_row(params, n_rows: int):
     if not rows or len(rows) != n_rows:
         raise ValueError(f"expected one SalsaParams per row ({n_rows}), got {len(rows)}")
     shared = rows[0]
-    solve_shape = (shared.n_basis, shared.n_iter, shared.cost_tol)
-    if any((p.n_basis, p.n_iter, p.cost_tol) != solve_shape for p in rows):
-        raise ValueError("stacked SalsaParams must share n_basis, n_iter and cost_tol")
+    if any((p.n_basis, p.n_iter) != (shared.n_basis, shared.n_iter) for p in rows):
+        raise ValueError("stacked SalsaParams must share n_basis and n_iter")
     return shared, rows
 
 
@@ -188,12 +180,11 @@ def salsa_solve(
     """Run the SALSA iteration on a real masked signal of shape (M,) or (B, M).
 
     Rows share `mask` and are solved along the last axis, so row i of a
-    stack equals the call on row i alone (without cost_tol, which stops a
-    stack only once every row has converged). `params` is one SalsaParams for
+    stack equals the call on row i alone. `params` is one SalsaParams for
     every row or a sequence with one per row; the rows of a sequence must
-    share n_basis, n_iter and cost_tol, and each keeps its own mu, lam,
-    threshold_scale and p_norm. With y the first k = mask.n_observed samples
-    and A_k the first k rows of A, from c = A^H(y), d = 0:
+    share n_basis and n_iter, and each keeps its own mu and lam. With y the
+    first k = mask.n_observed samples and A_k the first k rows of A, from
+    c = A^H(y), d = 0:
 
         u <- soft(c + d, threshold_scale * lam / mu) - d
         d <- A_k^H(y - A_k u) / (mu + p_norm)
@@ -203,11 +194,9 @@ def salsa_solve(
     bins of rfft and irfft; the returned c is the full Hermitian spectrum.
     A complex `masked` with a nonzero imaginary part is refused.
 
-    When track_cost (or params.cost_tol) is set, each row's
-    ||masked - A c||_2^2 + lam * sum|c| is recorded, shape (..., iterations),
-    with the unobserved positions of `masked` counted as zeros. With
-    cost_tol, iteration stops once every row's relative cost change drops
-    below it, and the trace is truncated there.
+    With track_cost, each row's ||masked - A c||_2^2 + lam * sum|c| is
+    recorded after every iteration, shape (..., n_iter), with the unobserved
+    positions of `masked` counted as zeros.
     """
     y = np.asarray(masked)
     if y.ndim not in (1, 2) or y.shape[-1] != mask.total_len:
@@ -228,7 +217,6 @@ def salsa_solve(
     # enter the iteration; the cost trace counts them as zeros
     target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
     y = y[..., :k]
-    track_cost = track_cost or shared.cost_tol is not None
 
     # bins 0..N//2 of each Hermitian iterate; the l1 term counts bins
     # 1..N-1-N//2 twice, for their mirrors
@@ -253,16 +241,6 @@ def salsa_solve(
             cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
                 l1_weight * np.abs(c), axis=-1
             )
-            if (
-                shared.cost_tol is not None
-                and i > 0
-                and np.all(
-                    np.abs(cost[..., i] - cost[..., i - 1])
-                    <= shared.cost_tol * np.abs(cost[..., i - 1])
-                )
-            ):
-                cost = cost[..., : i + 1]
-                break
 
     # the full spectrum: bins N//2+1..N-1 conjugate bins N-1-N//2..1
     c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)

@@ -12,11 +12,13 @@ default-pipeline errors (0.2797 and 1.8210) are printed as diagnostics.
 Run with `pytest tests/test_acceptance.py -v -rA` to see every line.
 """
 
+import math
 import os
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sigcast.baselines import LinearParams, linear_forecast
 from sigcast.causal import (
@@ -446,30 +448,54 @@ def _paired(diff: np.ndarray) -> tuple[float, float]:
     return float(np.mean(diff < 0)), float(t_stat)
 
 
-def test_criterion_13_paired_ordering_on_ar_paths():
-    """On the 1,000 paths of criterion 8's mu = 0.6 cell (window 91, horizon 7,
-    default params), the paired mean per-point residual is lower for SALSA than
-    for linear, and lower for causal than for SALSA. The shape comparison is a
-    diagnostic: how often SALSA's forecast std and range are closer to the
-    truth's than causal's."""
+def _sign_test(wins: np.ndarray) -> float:
+    """One-sided sign test p-value of the win count against 50 %: P(X >= wins) for X ~ B(n, 1/2)."""
+    n, k = wins.size, int(np.sum(wins))
+    return sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+
+
+@pytest.fixture(scope="module")
+def ar_forecasts():
+    """Criterion 8's mu = 0.6 cell (1,000 paths, window 91, horizon 7): the truth,
+    each method's forecasts at its default params, and the seconds they took."""
     start = time.perf_counter()
     window, horizon = 91, 7
     paths = _criterion_8_paths(cell=5, trials=1000)
     history, truth = paths[:, :window], paths[:, window:]
     params = {"salsa": SalsaParams(), "causal": CausalParams(), "linear": LinearParams()}
     tracks = {m: forecast(m, history, horizon, p) for m, p in params.items()}
+    return truth, tracks, time.perf_counter() - start
+
+
+def _closer(stat, truth, tracks) -> np.ndarray:
+    """Per path, whether SALSA's `stat` is closer to the truth's than causal's."""
+    gap = {m: np.abs(stat(tracks[m]) - stat(truth)) for m in ("salsa", "causal")}
+    return gap["salsa"] < gap["causal"]
+
+
+def _std(x):
+    return x.std(axis=1)
+
+
+def _range(x):
+    return np.ptp(x, axis=1)
+
+
+def test_criterion_13_paired_ordering_on_ar_paths(ar_forecasts):
+    """On the 1,000 paths of criterion 8's mu = 0.6 cell (window 91, horizon 7,
+    default params), the paired mean per-point residual is lower for SALSA than
+    for linear, and lower for causal than for SALSA. The shape comparison is a
+    diagnostic: how often SALSA's forecast std and range are closer to the
+    truth's than causal's."""
+    start = time.perf_counter()
+    truth, tracks, forecast_s = ar_forecasts
     per_point = {m: np.mean((track - truth) ** 2, axis=1) for m, track in tracks.items()}
     salsa_win, salsa_t = _paired(per_point["salsa"] - per_point["linear"])
     causal_win, causal_t = _paired(per_point["causal"] - per_point["salsa"])
     means = {m: float(v.mean()) for m, v in per_point.items()}
-
-    def closer(stat):
-        gap = {m: np.abs(stat(tracks[m]) - stat(truth)) for m in ("salsa", "causal")}
-        return float(np.mean(gap["salsa"] < gap["causal"]))
-
-    std_closer = closer(lambda x: x.std(axis=1))
-    range_closer = closer(lambda x: np.ptp(x, axis=1))
-    elapsed = time.perf_counter() - start
+    std_closer = float(np.mean(_closer(_std, truth, tracks)))
+    range_closer = float(np.mean(_closer(_range, truth, tracks)))
+    elapsed = forecast_s + time.perf_counter() - start
     ok = salsa_t < 0 and causal_t < 0
     assert report(
         "13 paired ordering on ar paths",
@@ -479,6 +505,36 @@ def test_criterion_13_paired_ordering_on_ar_paths():
         f"causal beats salsa on {causal_win:.1%} (t = {causal_t:.1f}) (need both mean "
         f"differences < 0); diagnostic: salsa's std closer to the truth's than causal's on "
         f"{std_closer:.1%}, range on {range_closer:.1%}; 1000 paths, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_14_forecast_shape_on_ar_paths(ar_forecasts):
+    """The paper's shape claim on criterion 13's 1,000 paths and forecasts
+    (horizon 7 after 91 samples): causal's forecast is the more conservative
+    (its std over the horizon is below SALSA's), and SALSA's std and range are
+    closer to the truth's than causal's. Each ordering must hold on a majority
+    of paths by a one-sided sign test against 50 % at level 1e-3. The share of
+    truth samples inside each method's forecast [min, max] is a diagnostic."""
+    truth, tracks, _ = ar_forecasts
+    orderings = {
+        "causal's std below salsa's": _std(tracks["causal"]) < _std(tracks["salsa"]),
+        "salsa's std closer to the truth's": _closer(_std, truth, tracks),
+        "salsa's range closer to the truth's": _closer(_range, truth, tracks),
+    }
+    p_values = {name: _sign_test(wins) for name, wins in orderings.items()}
+    inside = {
+        m: float(np.mean((truth >= tracks[m].min(axis=1, keepdims=True))
+                         & (truth <= tracks[m].max(axis=1, keepdims=True))))
+        for m in ("salsa", "causal")
+    }
+    ok = all(p < 1e-3 for p in p_values.values())
+    assert report(
+        "14 forecast shape on ar paths",
+        ok,
+        "; ".join(f"{name} on {np.mean(orderings[name]):.1%} (sign test p = {p:.1e})"
+                  for name, p in p_values.items())
+        + f" (need each p < 1e-3); diagnostic: truth samples inside the forecast [min, max] "
+        f"salsa {inside['salsa']:.1%}, causal {inside['causal']:.1%}; 1000 paths, horizon 7",
     )
 
 

@@ -58,7 +58,7 @@ def test_salsa_cost_trace_rows(stack, n_observed):
         assert np.array_equal(cost, single.cost_history)
 
 
-# 1 to 5 SalsaParams like SMALL_SALSA, each with its own mu, lam and threshold scale
+# 1 to 5 SalsaParams like SMALL_SALSA, each with its own mu and lam
 per_row_params = st.lists(
     st.builds(
         SalsaParams,
@@ -66,7 +66,6 @@ per_row_params = st.lists(
         lam=st.floats(0.0, 5.0),
         n_basis=st.just(SMALL_SALSA.n_basis),
         n_iter=st.just(SMALL_SALSA.n_iter),
-        threshold_scale=st.floats(0.1, 2.0),
     ),
     min_size=1,
     max_size=5,
@@ -102,9 +101,8 @@ def test_salsa_solve_rows_own_params(data, params):
     [
         SalsaParams(n_basis=64, n_iter=30),
         SalsaParams(n_basis=48, n_iter=31),
-        SalsaParams(n_basis=48, n_iter=30, cost_tol=1e-6),
     ],
-    ids=["n_basis", "n_iter", "cost_tol"],
+    ids=["n_basis", "n_iter"],
 )
 def test_stacked_params_must_share_solve_shape(other):
     stack = np.ones((2, 10))

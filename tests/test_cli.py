@@ -182,8 +182,10 @@ class TestForecast:
 
     @pytest.mark.parametrize("options", [
         ["--method", "causal", "--window", "50"],
+        ["--method", "causal", "--window", "3", "--n-harmonics", "1", "--ma-width", "5",
+         "--horizon", "2"],
         ["--method", "salsa", "--window", "191", "--horizon", "10"],
-    ], ids=["causal_not_2N+1", "salsa_beyond_n_basis"])
+    ], ids=["causal_not_2N+1", "causal_ma_width_beyond_window", "salsa_beyond_n_basis"])
     def test_window_checked_before_reading(self, tmp_path, capsys, monkeypatch, options):
         calls = []
         monkeypatch.setattr(sigcast.cli, "read_csv_column", lambda *a: calls.append(a))
@@ -609,12 +611,15 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
     def test_nonpositive_threads_is_validation_error(self, tmp_path, capsys):
-        assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
-                   "--horizon", "2", "--seed", "9", "--threads", "0",
-                   "--output-dir", str(tmp_path / "out")) == 1
-        assert "threads must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "sweep.csv").exists()
-        assert not (tmp_path / "out" / "sweep.json").exists()
+        # refused before the output directory is made or a drawn seed printed
+        for seed in (["--seed", "9"], []):
+            assert run("sweep", "--mu-values", "0.6", "--trials", "1", "--window", "40",
+                       "--horizon", "2", *seed, "--threads", "0",
+                       "--output-dir", str(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert "threads must be >= 1, got 0" in err
+            assert "seed:" not in err
+            assert not (tmp_path / "out").exists()
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out"

@@ -164,12 +164,15 @@ class TestExperimentConfig:
         "kwargs, message",
         [
             (dict(methods=("causal",), causal=CausalParams(n_harmonics=10)), r"2\*n_harmonics\+1 = 21"),
+            (dict(methods=("causal",), window_len=3, causal=CausalParams(n_harmonics=1, ma_width=5)),
+             "ma_width = 5"),
             (dict(methods=("salsa",), salsa=SalsaParams(n_basis=50)), "n_basis = 50"),
             (dict(methods=("linear",), window_len=1), "at least 2"),
             (dict(methods=("linear",), window_len=3,
                   linear=LinearParams(lookback=3, variant="two_point_span")), "at least 4"),
         ],
-        ids=["causal_window", "salsa_n_basis", "code_slope_window", "two_point_span_window"],
+        ids=["causal_window", "causal_ma_width", "salsa_n_basis", "code_slope_window",
+             "two_point_span_window"],
     )
     def test_impossible_window_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,5 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
-every CSV table is written by one writer."""
+every CSV table is written by one writer, and every output file with `newline=""`."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,14 @@ def test_one_csv_writer():
                 for alias in node.names}
     imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
     assert not {"csv", "io"} & imported
+
+
+def test_outputs_written_with_newline_empty():
+    # newline="" keeps "\n" line ends on every platform, where the default writes os.linesep
+    sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
+    calls = [(name, node) for name, text in sources.items() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "write_text"]
+    assert [name for name, _ in calls].count("cli.py") == 1
+    for name, node in calls:
+        newline = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "newline"]
+        assert newline == [""], name

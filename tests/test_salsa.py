@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -148,7 +150,6 @@ def float_mask_solve(masked, n_observed, params, track_cost=True):
     observed = np.arange(m_len) < n_observed
     obs = observed.astype(float)
     y = np.where(observed, y, 0.0)
-    track_cost = track_cost or params.cost_tol is not None
     thresh = params.threshold_scale * params.lam / params.mu
     step = 1.0 / (params.mu + params.p_norm)
     c = adjoint(y, params.n_basis)
@@ -163,16 +164,6 @@ def float_mask_solve(masked, n_observed, params, track_cost=True):
             cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + params.lam * np.sum(
                 np.abs(c), axis=-1
             )
-            if (
-                params.cost_tol is not None
-                and i > 0
-                and np.all(
-                    np.abs(cost[..., i] - cost[..., i - 1])
-                    <= params.cost_tol * np.abs(cost[..., i - 1])
-                )
-            ):
-                cost = cost[..., : i + 1]
-                break
     return c, cost
 
 
@@ -189,7 +180,6 @@ def complex_prefix_solve(masked, mask, params, track_cost=True):
     n_basis = shared.n_basis
     target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
     y = y[..., :k]
-    track_cost = track_cost or shared.cost_tol is not None
     c = adjoint(y, n_basis)
     d = np.zeros_like(c)
     column = y.shape[:-1] + (1,)
@@ -206,16 +196,6 @@ def complex_prefix_solve(masked, mask, params, track_cost=True):
             cost[..., i] = np.sum(np.abs(residual) ** 2, axis=-1) + lam * np.sum(
                 np.abs(c), axis=-1
             )
-            if (
-                shared.cost_tol is not None
-                and i > 0
-                and np.all(
-                    np.abs(cost[..., i] - cost[..., i - 1])
-                    <= shared.cost_tol * np.abs(cost[..., i - 1])
-                )
-            ):
-                cost = cost[..., : i + 1]
-                break
     return c, cost
 
 
@@ -236,17 +216,15 @@ class TestObservationMask:
     mu=st.floats(0.05, 5.0),
     lam=st.floats(0.0, 5.0),
     n_iter=st.integers(1, 40),
-    cost_tol=st.sampled_from([None, 1e-3]),
     track_cost=st.booleans(),
 )
 def test_prefix_loop_matches_float_mask_loop(
-    data, shape, m_len, extra_basis, mu, lam, n_iter, cost_tol, track_cost
+    data, shape, m_len, extra_basis, mu, lam, n_iter, track_cost
 ):
     # the trailing samples hold nonzero values, which both loops must ignore
     masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
     n_observed = data.draw(st.integers(1, m_len))
-    params = SalsaParams(mu=mu, lam=lam, n_basis=m_len + extra_basis, n_iter=n_iter,
-                         cost_tol=cost_tol)
+    params = SalsaParams(mu=mu, lam=lam, n_basis=m_len + extra_basis, n_iter=n_iter)
     mask = ObservationMask.prefix(n_observed, m_len)
     c, cost = complex_prefix_solve(masked, mask, params, track_cost)
     c_float, cost_float = float_mask_solve(masked, n_observed, params, track_cost)
@@ -261,11 +239,10 @@ def test_prefix_loop_matches_float_mask_loop(
     m_len=st.integers(1, 30),
     extra_basis=st.integers(0, 21),
     n_iter=st.integers(1, 40),
-    cost_tol=st.sampled_from([None, 1e-3]),
     track_cost=st.booleans(),
 )
 def test_half_spectrum_solve_matches_complex_loop(
-    data, rows, m_len, extra_basis, n_iter, cost_tol, track_cost
+    data, rows, m_len, extra_basis, n_iter, track_cost
 ):
     # extra_basis 0 gives N == M, and its parity and m_len's give odd and even N
     shape = () if rows is None else (rows,)
@@ -274,26 +251,21 @@ def test_half_spectrum_solve_matches_complex_loop(
 
     def draw_params():
         return SalsaParams(mu=data.draw(st.floats(0.05, 5.0)), lam=data.draw(st.floats(0.0, 5.0)),
-                           n_basis=m_len + extra_basis, n_iter=n_iter, cost_tol=cost_tol)
+                           n_basis=m_len + extra_basis, n_iter=n_iter)
 
     per_row = rows is not None and data.draw(st.booleans())
     params = [draw_params() for _ in range(rows)] if per_row else draw_params()
     state = salsa_solve(masked, mask, params, track_cost)
     c, cost = complex_prefix_solve(masked, mask, params, track_cost)
-    # the two loops round differently, so with cost_tol they may stop at
-    # different iterations; the traces are compared where both ran, and c
-    # only when both stopped at the same iteration
-    ran = min(cost.shape[-1], state.cost_history.shape[-1])
+    assert state.cost_history.shape == cost.shape == shape + ((n_iter,) if track_cost else (0,))
     # rtol 1e-9, with a floor of 1e-9 times the row's squared observed data
     # norm, the cost of c = 0, for costs that a small lam lets fall near 0
     scale = np.sum(masked[..., : mask.n_observed] ** 2, axis=-1, keepdims=True)
-    gap = np.abs(state.cost_history[..., :ran] - cost[..., :ran])
-    assert np.all(gap <= 1e-9 * (np.abs(cost[..., :ran]) + scale))
-    if state.cost_history.shape[-1] == cost.shape[-1]:
-        # norm-relative 1e-9 per row, with the observed data's norm as a floor
-        err = np.linalg.norm(state.c - c, axis=-1)
-        ref = np.linalg.norm(c, axis=-1) + np.sqrt(scale[..., 0])
-        assert np.all(err <= 1e-9 * ref)
+    assert np.all(np.abs(state.cost_history - cost) <= 1e-9 * (np.abs(cost) + scale))
+    # norm-relative 1e-9 per row, with the observed data's norm as a floor
+    err = np.linalg.norm(state.c - c, axis=-1)
+    ref = np.linalg.norm(c, axis=-1) + np.sqrt(scale[..., 0])
+    assert np.all(err <= 1e-9 * ref)
 
 
 class TestSalsaSolve:
@@ -359,23 +331,6 @@ class TestSalsaSolve:
         salsa_forecast(history, 5, SalsaParams(n_basis=64, n_iter=7))
         assert len(calls) == 7
 
-    def test_cost_tol_early_stop(self):
-        params = SalsaParams(n_basis=64, n_iter=500, cost_tol=1e-3)
-        mask = ObservationMask.prefix(20, 24)
-        rng = np.random.default_rng(2)
-        masked = np.concatenate([rng.normal(size=20), np.zeros(4)])
-        state = salsa_solve(masked, mask, params)
-        assert state.cost_history.size < 500
-
-    def test_cost_tol_stops_early_without_track_cost(self):
-        params = SalsaParams(n_basis=64, n_iter=500, cost_tol=1e-3)
-        mask = ObservationMask.prefix(20, 24)
-        rng = np.random.default_rng(2)
-        masked = np.concatenate([rng.normal(size=20), np.zeros(4)])
-        state = salsa_solve(masked, mask, params, track_cost=False)
-        assert 0 < state.cost_history.size < 500
-        assert np.array_equal(state.c, salsa_solve(masked, mask, params).c)
-
     def test_track_cost_off_gives_same_iterates(self):
         params = SalsaParams(n_basis=64, n_iter=40)
         mask = ObservationMask.prefix(20, 24)
@@ -433,12 +388,8 @@ class TestSalsaParams:
             {"lam": -1.0},
             {"n_basis": 0},
             {"n_iter": 0},
-            {"threshold_scale": 0.0},
-            {"p_norm": -5.0},
-            {"cost_tol": -1e-3},
             # NaN fails every comparison, so each bound is written to refuse it
             {"lam": float("nan")},
-            {"cost_tol": float("nan")},
             # an infinite penalty or weight drives every coefficient to 0
             pytest.param({"mu": float("inf")}, id="mu_inf"),
             pytest.param({"lam": float("inf")}, id="lambda_inf"),
@@ -448,8 +399,24 @@ class TestSalsaParams:
         with pytest.raises(ValueError):
             SalsaParams(**kwargs)
 
+    def test_only_four_knobs(self):
+        assert list(inspect.signature(SalsaParams).parameters) == ["mu", "lam", "n_basis", "n_iter"]
+
+    @pytest.mark.parametrize("name", ["threshold_scale", "p_norm", "cost_tol"])
+    def test_fixed_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=name):
+            SalsaParams(**{name: 1.0})
+
     def test_p_norm_defaults_to_n_basis(self):
         assert SalsaParams(n_basis=123).p_norm == 123.0
+        assert dataclasses.replace(SalsaParams(), n_basis=300).p_norm == 300.0
+
+    def test_record_keeps_seven_keys(self):
+        # `sigcast forecast` prints this dict into forecast_params.json
+        assert list(dataclasses.asdict(SalsaParams(n_basis=123)).items()) == [
+            ("mu", 0.6), ("lam", 1.0), ("n_basis", 123), ("n_iter", 1000),
+            ("threshold_scale", 0.5), ("p_norm", 123.0), ("cost_tol", None),
+        ]
 
     def test_shipped_defaults(self):
         p = SalsaParams()
