@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import check_count
+
 __all__ = ["LinearParams", "linear_forecast"]
 
 VARIANTS = ("two_point_span", "code_slope")
@@ -27,8 +29,7 @@ class LinearParams:
     variant: str = "code_slope"
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ValueError(f"lookback must be >= 1, got {self.lookback}")
+        check_count("lookback", self.lookback)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -50,8 +51,7 @@ def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2):
         raise ValueError("history must have shape (K,) or (B, K)")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_count("horizon", horizon)
     params.check_window(hist.shape[-1], horizon)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")

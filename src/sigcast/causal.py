@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import Window
+from .series import Window, check_count
 
 __all__ = [
     "CausalParams",
@@ -65,12 +65,12 @@ class CausalParams:
     def __post_init__(self):
         if not 0 < self.omega <= math.pi:
             raise ValueError(f"omega must lie in (0, pi], got {self.omega}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.n_harmonics < 1:
-            raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
-        if self.ma_width < 1 or self.ma_width % 2 == 0:
-            raise ValueError(f"ma_width must be odd and positive, got {self.ma_width}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        check_count("n_harmonics", self.n_harmonics)
+        check_count("ma_width", self.ma_width)
+        if self.ma_width % 2 == 0:
+            raise ValueError(f"ma_width must be odd, got {self.ma_width}")
 
     @property
     def window_len(self) -> int:
@@ -120,8 +120,9 @@ def moving_average(values, width: int) -> np.ndarray:
     """Centered `width`-point mean along the last axis; edges use the
     truncated window that fits. The result is C-contiguous."""
     vals = np.asarray(values, dtype=float)
-    if width < 1 or width % 2 == 0:
-        raise ValueError(f"width must be odd and positive, got {width}")
+    check_count("width", width)
+    if width % 2 == 0:
+        raise ValueError(f"width must be odd, got {width}")
     n = vals.shape[-1]
     if n < width:
         raise ValueError(f"series length {n} shorter than width {width}")
@@ -282,8 +283,7 @@ def causal_forecast(
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2):
         raise ValueError("history must have shape (K,) or (B, K)")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_count("horizon", horizon)
     params.check_window(hist.shape[-1], horizon)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")

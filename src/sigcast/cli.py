@@ -39,6 +39,7 @@ from .harness import (
 from .ingest import MISSING_POLICIES, CsvSpec, csv_text, read_csv_column, write_csv
 from .montecarlo import SimParams, SweepGrid, SweepTable, generate_path, run_sweep
 from .salsa import SalsaParams, salsa_forecast  # noqa: F401
+from .series import check_count
 
 __all__ = ["main"]
 
@@ -170,15 +171,9 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _check_at_least_one(**options):
-    """Refuse an option below 1 by its name, before any input is read."""
-    for name, value in options.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def cmd_forecast(args) -> int:
-    _check_at_least_one(window=args.window, horizon=args.horizon)
+    check_count("window", args.window)
+    check_count("horizon", args.horizon)
     params = _method_params(args, [args.method])[args.method]
     params.check_window(args.window, args.horizon)
     series = _read_series(args, last=args.window)
@@ -209,7 +204,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _check_at_least_one(window=args.window)
+    check_count("window", args.window)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     params = _method_params(args, methods)
     # causal's ma_width also draws plot_data.csv's smoothed column
@@ -238,11 +233,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    _check_at_least_one(threads=args.threads)
+    check_count("threads", args.threads)
     grid = SweepGrid(
         mu_values=_parse_grid_values(args.mu_values),
         lambda_values=_parse_grid_values(args.lambda_values),
-        n_basis_values=tuple(int(v) for v in _parse_grid_values(args.n_basis_values)),
+        n_basis_values=tuple(int(v) if v.is_integer() else v
+                             for v in _parse_grid_values(args.n_basis_values)),
         trials=args.trials,
         horizon=args.horizon,
         window=args.window,

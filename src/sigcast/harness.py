@@ -24,6 +24,7 @@ from .series import (
     ResidualReport,
     SummaryStats,
     TimeSeries,
+    check_count,
     l2_residual,
     rolling_windows,
     summary_stats,
@@ -81,14 +82,11 @@ class ExperimentConfig:
     lookahead_smoothing: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.window_len < 1:
-            raise ValueError(f"window_len must be >= 1, got {self.window_len}")
+        check_count("horizon", self.horizon)
+        check_count("window_len", self.window_len)
         if self.stride is None:
             object.__setattr__(self, "stride", self.horizon)
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        check_count("stride", self.stride)
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("no methods")

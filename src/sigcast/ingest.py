@@ -20,7 +20,7 @@ import math
 import os
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, check_count
 
 __all__ = ["CsvSpec", "read_csv_column", "write_csv"]
 
@@ -47,8 +47,8 @@ class CsvSpec:
     missing_policy: str = "drop"
 
     def __post_init__(self):
-        if isinstance(self.column, int) and self.column < 1:
-            raise ValueError(f"column index is 1-based, got {self.column}")
+        if not isinstance(self.column, str):
+            check_count("column", self.column)
         if self.missing_policy not in MISSING_POLICIES:
             raise ValueError(
                 f"missing_policy must be one of {MISSING_POLICIES}, got {self.missing_policy!r}"
@@ -71,8 +71,8 @@ def read_csv_column(spec: CsvSpec, last: int | None = None) -> TimeSeries:
     be sure of them: a bad cell or ``error`` gap in a row it does not read
     then goes unreported.
     """
-    if last is not None and last < 1:
-        raise ValueError(f"last must be >= 1, got {last}")
+    if last is not None:
+        check_count("last", last)
     with open(spec.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ingest import csv_text
 from .salsa import SalsaParams, salsa_forecast
-from .series import TimeSeries
+from .series import TimeSeries, check_count
 
 __all__ = [
     "SimParams",
@@ -56,8 +56,7 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 2:
-            raise ValueError(f"length must be >= 2, got {self.length}")
+        check_count("length", self.length, low=2)
         if self.a_low > self.a_high:
             raise ValueError(f"a_low {self.a_low} exceeds a_high {self.a_high}")
         if not math.isfinite(self.a_high - self.a_low):
@@ -66,8 +65,7 @@ class SimParams:
             raise ValueError(f"noise_std must be positive and finite, got {self.noise_std}")
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_count("seed", self.seed, low=0)
 
 
 def generate_path(params: SimParams, rng_seed=None) -> TimeSeries:
@@ -105,20 +103,18 @@ class SweepGrid:
     window: int = 91
 
     def __post_init__(self):
-        # each tuple's values as cells() converts them
-        for name, kind in (
-            ("mu_values", float), ("lambda_values", float), ("n_basis_values", int)
-        ):
+        # values compared as floats, so 200 and 200.0 repeat
+        for name in ("mu_values", "lambda_values", "n_basis_values"):
             vals = tuple(getattr(self, name))
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if len(set(map(kind, vals))) != len(vals):
+            if len(set(map(float, vals))) != len(vals):
                 raise ValueError(f"{name} repeats a value: {vals}")
             object.__setattr__(self, name, vals)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.horizon < 1 or self.window < 1:
-            raise ValueError("horizon and window must be >= 1")
+        for n_basis in self.n_basis_values:
+            check_count("n_basis", n_basis)
+        for name in ("trials", "horizon", "window"):
+            check_count(name, getattr(self, name))
         for mu, lam, n_basis in self.cells():
             SalsaParams(mu=mu, lam=lam, n_basis=n_basis).check_window(self.window, self.horizon)
 
@@ -291,8 +287,7 @@ def run_sweep(
     each freshly computed row in grid order, as soon as its last block is
     done, which lets callers persist partial tables for later resume.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_count("threads", threads)
     completed = completed or {}
     cells = grid.cells()
     pending = [idx for idx, cell in enumerate(cells) if cell not in completed]

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .series import check_count
+
 __all__ = [
     "SalsaParams",
     "ObservationMask",
@@ -59,10 +61,8 @@ class SalsaParams:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
-        if self.n_basis < 1:
-            raise ValueError(f"n_basis must be positive, got {self.n_basis}")
-        if self.n_iter < 1:
-            raise ValueError(f"n_iter must be positive, got {self.n_iter}")
+        check_count("n_basis", self.n_basis)
+        check_count("n_iter", self.n_iter)
         object.__setattr__(self, "p_norm", float(self.n_basis))
 
     def check_window(self, window: int, horizon: int) -> None:
@@ -265,8 +265,7 @@ def salsa_forecast(
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2) or hist.shape[-1] < 1:
         raise ValueError("history must have shape (K,) or (B, K) with K >= 1")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_count("horizon", horizon)
     k = hist.shape[-1]
     m_len = k + horizon
     masked = np.concatenate([hist, np.zeros(hist.shape[:-1] + (horizon,))], axis=-1)

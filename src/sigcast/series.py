@@ -7,6 +7,7 @@ scores forecasts with :func:`l2_residual`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,17 @@ __all__ = [
     "l2_residual",
     "rolling_windows",
 ]
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """The one count rule: raise ValueError unless `value` is an integer
+    (Python or numpy, never a float) of at least `low`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,10 +139,9 @@ def rolling_windows(
     starting at q covers [q, q + window_len - 1] and its truth is the next
     `horizon` samples.
     """
-    if window_len < 1 or horizon < 1:
-        raise ValueError("window_len and horizon must be >= 1")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    check_count("window_len", window_len)
+    check_count("horizon", horizon)
+    check_count("stride", stride)
     n = len(series)
     if window_len + horizon > n:
         raise ValueError(

@@ -102,8 +102,10 @@ class TestMovingAverage:
         assert out[-1] == pytest.approx(np.mean(z[-3:]))
 
     def test_even_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="width must be odd, got 4"):
             moving_average(np.zeros(10), 4)
+        with pytest.raises(ValueError, match="ma_width must be odd, got 4"):
+            CausalParams(ma_width=4)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
@@ -335,6 +337,7 @@ class TestCausalParams:
             {"n_harmonics": 0},
             {"ma_width": 4},
             {"ma_width": -1},
+            {"nu": math.inf},
         ],
     )
     def test_invalid(self, kwargs):

@@ -308,9 +308,10 @@ class TestExperiment:
         (("--horizon", "0"), "horizon must be >= 1, got 0"),
         (("--horizon", "5", "--stride", "0"), "stride must be >= 1, got 0"),
         (("--horizon", "5", "--window", "0"), "window must be >= 1, got 0"),
-        (("--horizon", "5", "--nu", "0"), "nu must be positive, got 0.0"),
+        (("--horizon", "5", "--nu", "0"), "nu must be positive and finite, got 0.0"),
+        (("--horizon", "5", "--nu", "inf"), "nu must be positive and finite, got inf"),
         (("--horizon", "5", "--methods", "linear,bogus"), "unknown methods: ['bogus']"),
-    ], ids=["horizon", "stride", "window", "method_option", "method_name"])
+    ], ids=["horizon", "stride", "window", "method_option", "nu_inf", "method_name"])
     def test_config_checked_before_reading(self, tmp_path, capsys, monkeypatch, options,
                                            message):
         def never_read(*args):
@@ -599,9 +600,10 @@ class TestSweep:
             (("--a-high", "inf"), "a_high - a_low must be finite"),
             (("--mu-values", "inf"), "mu must be positive and finite, got inf"),
             (("--lambda-values", "inf"), "lam must be nonnegative and finite, got inf"),
+            (("--n-basis-values", "60.7"), "n_basis must be an integer, got 60.7"),
         ],
         ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated", "lambda_nan",
-             "a_high_inf", "mu_inf", "lambda_inf"],
+             "a_high_inf", "mu_inf", "lambda_inf", "n_basis_fractional"],
     )
     def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
         out = tmp_path / "out"
@@ -634,6 +636,16 @@ class TestSweep:
         }
         assert record["cells"][0]["mu"] == 0.6
         assert (out / "sweep.csv").read_text().splitlines()[1].startswith("0.6,1.0,200,")
+
+    def test_integral_n_basis_range(self, tmp_path):
+        # a range's values are floats; the integral ones are the n_basis integers
+        out = tmp_path / "out"
+        assert run("sweep", "--mu-values", "0.6", "--n-basis-values", "30:40:10", "--trials", "1",
+                   "--window", "20", "--horizon", "2", "--seed", "9",
+                   "--output-dir", str(out)) == 0
+        assert strict_json((out / "sweep.json").read_text())["run"]["n_basis_values"] == [30, 40]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["30", "40"]
 
     def test_format_option_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

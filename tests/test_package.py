@@ -1,7 +1,9 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
-every CSV table is written by one writer, and every output file with `newline=""`."""
+every CSV table is written by one writer, every output file with `newline=""`, and
+every count is checked by one rule."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import sigcast
@@ -41,3 +43,12 @@ def test_outputs_written_with_newline_empty():
     for name, node in calls:
         newline = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "newline"]
         assert newline == [""], name
+
+
+def test_one_count_rule():
+    # series.check_count states "an integer of at least `low`"; a hand-written copy fails here
+    sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
+    assert {name: text.count("must be >=") for name, text in sources.items()
+            if "must be >=" in text} == {"series.py": 1}
+    assert "must be >=" in inspect.getsource(sigcast.series.check_count)
+    assert not any("_check_at_least_one" in text for text in sources.values())

@@ -1,10 +1,20 @@
 import math
+import re
+from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigcast.baselines import LinearParams, linear_forecast
+from sigcast.causal import CausalParams, causal_forecast, moving_average
+from sigcast.cli import cmd_experiment, cmd_forecast, cmd_sweep
+from sigcast.harness import ExperimentConfig
+from sigcast.ingest import CsvSpec, read_csv_column
+from sigcast.montecarlo import SimParams, SweepGrid, run_sweep
+from sigcast.salsa import SalsaParams, salsa_forecast
 from sigcast.series import (
     TimeSeries,
     Window,
@@ -12,6 +22,8 @@ from sigcast.series import (
     rolling_windows,
     summary_stats,
 )
+
+GOLDEN_PLOT = Path(__file__).parent / "data" / "golden_plot.csv"
 
 
 class TestTimeSeries:
@@ -147,3 +159,79 @@ class TestRollingWindows:
         assert starts[0] == 0 and np.all(np.diff(starts) == stride)
         # the history [q, q + window_len - 1] and the truth after it fit inside
         assert starts[-1] + window_len + horizon <= n
+
+
+def _grid(**kwargs):
+    return SweepGrid(**{"mu_values": (0.6,), "n_basis_values": (64,), "horizon": 2, "window": 20,
+                        **kwargs})
+
+
+# (field, low, call, valid): call(value) reaches the field's count check; `valid` is a
+# value the site accepts, or None for a command option, which argparse makes an int
+COUNT_SITES = [
+    pytest.param("n_basis", 1, lambda v: SalsaParams(n_basis=v), 64, id="SalsaParams.n_basis"),
+    pytest.param("n_iter", 1, lambda v: SalsaParams(n_iter=v), 5, id="SalsaParams.n_iter"),
+    pytest.param("horizon", 1,
+                 lambda v: salsa_forecast(np.ones(8), v, SalsaParams(n_basis=16, n_iter=5)), 2,
+                 id="salsa_forecast.horizon"),
+    pytest.param("n_harmonics", 1, lambda v: CausalParams(n_harmonics=v), 3,
+                 id="CausalParams.n_harmonics"),
+    pytest.param("ma_width", 1, lambda v: CausalParams(ma_width=v), 3,
+                 id="CausalParams.ma_width"),
+    pytest.param("width", 1, lambda v: moving_average(np.ones(9), v), 3,
+                 id="moving_average.width"),
+    pytest.param("horizon", 1,
+                 lambda v: causal_forecast(np.ones(7), v, CausalParams(n_harmonics=3)), 2,
+                 id="causal_forecast.horizon"),
+    pytest.param("lookback", 1, lambda v: LinearParams(lookback=v, variant="two_point_span"),
+                 2, id="LinearParams.lookback"),
+    pytest.param("horizon", 1, lambda v: linear_forecast(np.arange(5.0), v), 2,
+                 id="linear_forecast.horizon"),
+    pytest.param("horizon", 1, lambda v: ExperimentConfig(horizon=v, methods=("linear",)), 2,
+                 id="ExperimentConfig.horizon"),
+    pytest.param("window_len", 1,
+                 lambda v: ExperimentConfig(horizon=2, window_len=v, methods=("linear",)), 10,
+                 id="ExperimentConfig.window_len"),
+    pytest.param("stride", 1,
+                 lambda v: ExperimentConfig(horizon=2, stride=v, methods=("linear",)), 2,
+                 id="ExperimentConfig.stride"),
+    pytest.param("window_len", 1, lambda v: rolling_windows(TimeSeries(np.zeros(20)), v, 2), 10,
+                 id="rolling_windows.window_len"),
+    pytest.param("horizon", 1, lambda v: rolling_windows(TimeSeries(np.zeros(20)), 10, v), 2,
+                 id="rolling_windows.horizon"),
+    pytest.param("stride", 1, lambda v: rolling_windows(TimeSeries(np.zeros(20)), 10, 2, v), 3,
+                 id="rolling_windows.stride"),
+    pytest.param("length", 2, lambda v: SimParams(length=v), 2, id="SimParams.length"),
+    pytest.param("seed", 0, lambda v: SimParams(length=10, seed=v), 0, id="SimParams.seed"),
+    pytest.param("trials", 1, lambda v: _grid(trials=v), 2, id="SweepGrid.trials"),
+    pytest.param("horizon", 1, lambda v: _grid(horizon=v), 2, id="SweepGrid.horizon"),
+    pytest.param("window", 1, lambda v: _grid(window=v), 20, id="SweepGrid.window"),
+    pytest.param("n_basis", 1, lambda v: _grid(n_basis_values=(64, v)), 32,
+                 id="SweepGrid.n_basis_values"),
+    pytest.param("threads", 1, lambda v: run_sweep(_grid(), SimParams(length=22), threads=v), 1,
+                 id="run_sweep.threads"),
+    pytest.param("column", 1, lambda v: CsvSpec("series.csv", column=v), 2,
+                 id="CsvSpec.column"),
+    pytest.param("last", 1, lambda v: read_csv_column(CsvSpec(GOLDEN_PLOT, column="raw"), v), 3,
+                 id="read_csv_column.last"),
+    pytest.param("window", 1, lambda v: cmd_forecast(Namespace(window=v, horizon=2)), None,
+                 id="forecast.window"),
+    pytest.param("horizon", 1, lambda v: cmd_forecast(Namespace(window=10, horizon=v)), None,
+                 id="forecast.horizon"),
+    pytest.param("window", 1, lambda v: cmd_experiment(Namespace(window=v)), None,
+                 id="experiment.window"),
+    pytest.param("threads", 1, lambda v: cmd_sweep(Namespace(threads=v)), None,
+                 id="sweep.threads"),
+]
+
+
+@pytest.mark.parametrize("name, low, call, valid", COUNT_SITES)
+def test_count_rule(name, low, call, valid):
+    # one rule at every count: an integer of at least `low`, never a float
+    for value in (2.5, 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value}")):
+            call(value)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {low}, got {low - 1}")):
+        call(low - 1)
+    if valid is not None:
+        call(np.int64(valid))
