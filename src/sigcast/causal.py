@@ -118,7 +118,8 @@ def sinc(u):
 
 def moving_average(values, width: int) -> np.ndarray:
     """Centered `width`-point mean along the last axis; edges use the
-    truncated window that fits. The result is C-contiguous."""
+    truncated window that fits. The result is C-contiguous; width 1 returns
+    a copy of the values, exactly."""
     vals = np.asarray(values, dtype=float)
     check_count("width", width)
     if width % 2 == 0:
@@ -126,6 +127,8 @@ def moving_average(values, width: int) -> np.ndarray:
     n = vals.shape[-1]
     if n < width:
         raise ValueError(f"series length {n} shorter than width {width}")
+    if width == 1:
+        return np.array(vals, order="C")
     half = width // 2
     csum = np.zeros(vals.shape[:-1] + (n + 1,))
     np.cumsum(vals, axis=-1, out=csum[..., 1:])
@@ -175,11 +178,13 @@ def gram_matrix(window: Window, params: CausalParams) -> np.ndarray:
     return gram
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def regularized_solve(gram, nu: float, b) -> np.ndarray:
     """Solve the Tikhonov system (R + nu*I) y = b for b of shape (n,) or (n, m).
 
-    Each right-hand side must be solved to a residual below 1e-8 * ||b||,
-    or ArithmeticError is raised.
+    Each right-hand side must be solved to a residual below 1e-8 * ||b||, or
+    ArithmeticError is raised without a numpy warning; a y that is not finite
+    leaves a residual that is not, and fails.
     """
     gram = np.asarray(gram, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -189,12 +194,12 @@ def regularized_solve(gram, nu: float, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {gram.shape}")
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in linear system")
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     system = gram + nu * np.eye(gram.shape[0])
     y = np.linalg.solve(system, b)
     resid = np.linalg.norm(system @ y - b, axis=0)
-    if np.any((resid > 0) & (resid >= 1e-8 * np.linalg.norm(b, axis=0))):
+    if not np.all((resid == 0) | (resid < 1e-8 * np.linalg.norm(b, axis=0))):
         raise ArithmeticError(
             f"regularized solve residual {np.max(resid):.3e} exceeds 1e-8 * ||b||"
         )
@@ -261,12 +266,7 @@ def _operator(params: CausalParams, horizon: int) -> np.ndarray:
 _ROW_BLOCK = 64
 
 
-def causal_forecast(
-    history,
-    horizon: int,
-    params: CausalParams = CausalParams(),
-    presmoothed=None,
-) -> np.ndarray:
+def causal_forecast(history, horizon: int, params: CausalParams = CausalParams()) -> np.ndarray:
     """Forecast `horizon` samples past histories of shape (K,) or (B, K), K = 2N+1.
 
     The window is smoothed by the moving average, and the forecast is
@@ -275,10 +275,6 @@ def causal_forecast(
     re-centred at the mean of the last three smoothed samples. W is built
     once per (params, horizon) and cached (see :func:`_operator`). Row i of
     a (B, horizon) result equals the call on row i alone.
-
-    `presmoothed` substitutes externally smoothed windows (same shape) and
-    skips the internal moving average; the experiment harness uses it to
-    emulate smoothing the full series at once.
     """
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2):
@@ -287,18 +283,13 @@ def causal_forecast(
     params.check_window(hist.shape[-1], horizon)
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")
-    if presmoothed is not None and np.shape(presmoothed) != hist.shape:
-        raise ValueError("presmoothed window must match history shape")
 
     w = _operator(params, horizon)
     rows = np.atleast_2d(hist)
     out = np.empty((len(rows), horizon))
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
-        if presmoothed is None:
-            sm = moving_average(rows[block], params.ma_width)
-        else:
-            sm = np.ascontiguousarray(np.atleast_2d(presmoothed)[block], dtype=float)
+        sm = moving_average(rows[block], params.ma_width)
         # a C-contiguous stack and one sum per step keep every row's rounding
         # independent of B, so row i equals the 1-D call bit for bit
         mean = np.mean(sm, axis=-1)

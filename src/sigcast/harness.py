@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,20 +43,18 @@ _DISPLAY = {"causal": "Causal Forecast", "salsa": "Salsa Forecast", "linear": "L
 METHOD_ORDER = tuple(_DISPLAY)
 
 
-def forecast(method: str, history, horizon: int, params, presmoothed=None) -> np.ndarray:
+def forecast(method: str, history, horizon: int, params) -> np.ndarray:
     """Forecast `horizon` samples past a history of shape (K,) or (B, K).
 
     Row i of a (B, horizon) result equals the call on row i alone. `params`
-    is the method's parameter object; `presmoothed`, shaped like `history`,
-    goes to the causal method only (see :func:`causal_forecast`). This is
-    the one place that dispatches on a method name; the forecasters are
-    module globals looked up on every call, so rebinding them here
-    (perfbench's tracer does) takes effect.
+    is the method's parameter object. This is the one place that dispatches
+    on a method name; the forecasters are module globals looked up on every
+    call, so rebinding them here (perfbench's tracer does) takes effect.
     """
     if method == "salsa":
         return salsa_forecast(history, horizon, params)
     if method == "causal":
-        return causal_forecast(history, horizon, params, presmoothed)
+        return causal_forecast(history, horizon, params)
     if method == "linear":
         return linear_forecast(history, horizon, params)
     raise ValueError(f"unknown method: {method!r}")
@@ -69,7 +67,8 @@ class ExperimentConfig:
     stride defaults to the horizon (non-overlapping forecast segments).
     lookahead_smoothing smooths the entire series once up front, so each
     window's smoothed values can see neighbouring (including future)
-    samples; the default smooths strictly within each window.
+    samples, and the causal method forecasts those windows with ma_width 1;
+    the default smooths strictly within each window.
     """
 
     horizon: int
@@ -123,14 +122,14 @@ class ExperimentResult:
 def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentResult:
     """Run every enabled method over all rolling windows of the series.
 
-    The windows are stacked and each method forecasts the whole stack in one
-    call. A window whose forecast has a non-finite value is a failure: it is
-    recorded in result.failures and its track values are NaN, so scoring
-    skips it. A method whose call fails with a ValueError or ArithmeticError
-    has every window failed; a method with no window left has residuals and
-    track statistics None. Any other exception propagates. Statistics and
-    residuals that overflow are kept as they are; the renderers leave them
-    empty.
+    The windows are stacked and each method forecasts its finite windows in
+    one call. A window whose history or forecast has a non-finite value is a
+    failure: it is recorded in result.failures and its track values are NaN,
+    so scoring skips it. A method whose call fails with a ValueError or
+    ArithmeticError has every window failed; a method with no window left
+    has residuals and track statistics None. Any other exception
+    propagates. Statistics and residuals that overflow are kept as they
+    are; the renderers leave them empty.
     """
     starts = rolling_windows(series, config.window_len, config.horizon, config.stride)
     n_win = len(starts)
@@ -140,20 +139,25 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
     # presentation curve, and the smoothed source for lookahead mode
     full_smoothed = moving_average(series.values, config.causal.ma_width)
     # the windows are copied from strided views; an index array would be as large
-    histories = sliding_window_view(series.values, config.window_len)[starts]
-    presmoothed = (
-        sliding_window_view(full_smoothed, config.window_len)[starts]
-        if config.lookahead_smoothing else None
-    )
+    raw = sliding_window_view(series.values, config.window_len)[starts]
+    inputs = {m: (raw, getattr(config, m)) for m in config.methods}
+    if config.lookahead_smoothing and "causal" in inputs:
+        # the once-smoothed windows, which a moving average of width 1 leaves as they are
+        inputs["causal"] = (sliding_window_view(full_smoothed, config.window_len)[starts],
+                            replace(config.causal, ma_width=1))
     truth_track = series.values[target_idx].reshape(-1)
 
     tracks, failures, wall, residuals, track_stats = {}, {}, {}, {}, {}
-    for method in config.methods:
+    for method, (history, params) in inputs.items():
         t0 = time.perf_counter()
+        fc = np.full((n_win, horizon), np.nan)
+        # a window the once-smoothed series overflowed in fails alone
+        finite = np.isfinite(history).all(axis=1)
+        rows = slice(None) if finite.all() else finite
         try:
-            fc = forecast(method, histories, horizon, getattr(config, method), presmoothed)
+            fc[rows] = forecast(method, history[rows], horizon, params)
         except (ValueError, ArithmeticError):
-            fc = np.full((n_win, horizon), np.nan)
+            pass
         failed = ~np.isfinite(fc).all(axis=1)
         failures[method] = np.flatnonzero(failed).tolist()
         track = np.where(failed[:, None], np.nan, fc).reshape(n_win * horizon)

@@ -82,7 +82,8 @@ class ObservationMask:
     total_len: int
 
     def __post_init__(self):
-        if not 1 <= self.n_observed <= self.total_len:
+        check_count("n_observed", self.n_observed)
+        if self.n_observed > self.total_len:
             raise ValueError(
                 f"n_observed must lie in [1, {self.total_len}], got {self.n_observed}"
             )
@@ -110,7 +111,8 @@ def synthesize(c, out_len: int) -> np.ndarray:
     """
     c = np.asarray(c, dtype=complex)
     n_basis = c.shape[-1]
-    if not 1 <= out_len <= n_basis:
+    check_count("out_len", out_len)
+    if out_len > n_basis:
         raise ValueError(f"out_len must lie in [1, {n_basis}], got {out_len}")
     return n_basis * np.fft.ifft(c)[..., :out_len]
 
@@ -122,7 +124,9 @@ def adjoint(y, n_basis: int) -> np.ndarray:
     Requires y.shape[-1] <= n_basis.
     """
     y = np.asarray(y, dtype=complex)
-    if not 1 <= y.shape[-1] <= n_basis:
+    check_count("n_basis", n_basis)
+    check_count("signal length", y.shape[-1])
+    if y.shape[-1] > n_basis:
         raise ValueError(f"signal length must lie in [1, {n_basis}], got {y.shape[-1]}")
     return np.fft.fft(y, n=n_basis)
 

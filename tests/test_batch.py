@@ -1,5 +1,7 @@
 """A stacked call is the single call on every row: bit for bit, not approximately."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,10 +185,12 @@ def test_harness_forecast_refuses_nonfinite_history(method, bad):
 @settings(max_examples=15, deadline=None)
 @given(stack=stacks(SMALL_CAUSAL.window_len, SMALL_CAUSAL.window_len), horizon=st.integers(1, 6))
 def test_harness_forecast_presmoothed_rows(stack, horizon):
+    # lookahead mode: once-smoothed windows, forecast with ma_width 1
     smoothed = np.array([moving_average(row[::-1], 3) for row in stack])
-    batched = forecast("causal", stack, horizon, SMALL_CAUSAL, presmoothed=smoothed)
-    for row, sm, out in zip(stack, smoothed, batched):
-        assert np.array_equal(out, forecast("causal", row, horizon, SMALL_CAUSAL, presmoothed=sm))
+    params = replace(SMALL_CAUSAL, ma_width=1)
+    batched = forecast("causal", smoothed, horizon, params)
+    for sm, out in zip(smoothed, batched):
+        assert np.array_equal(out, forecast("causal", sm, horizon, params))
 
 
 DEFAULT_CAUSAL = CausalParams()
@@ -201,13 +205,16 @@ DEFAULT_CAUSAL = CausalParams()
     horizon=st.integers(1, 10),
 )
 def test_causal_forecast_rows_default_window(lookahead, stack, horizon):
-    # Fortran-ordered, like the stacks fancy indexing along the last axis returns
-    smoothed = np.asfortranarray(moving_average(stack, 3)) if lookahead else None
-    batched = causal_forecast(stack, horizon, DEFAULT_CAUSAL, smoothed)
+    params = DEFAULT_CAUSAL
+    if lookahead:
+        # once-smoothed windows, forecast with ma_width 1; Fortran-ordered, like
+        # the stacks fancy indexing along the last axis returns
+        stack = np.asfortranarray(moving_average(stack, 3))
+        params = replace(DEFAULT_CAUSAL, ma_width=1)
+    batched = causal_forecast(stack, horizon, params)
     assert batched.shape == (stack.shape[0], horizon)
     for i, row in enumerate(stack):
-        pre = None if smoothed is None else smoothed[i]
-        assert np.array_equal(batched[i], causal_forecast(row, horizon, DEFAULT_CAUSAL, pre))
+        assert np.array_equal(batched[i], causal_forecast(row, horizon, params))
 
 
 def test_causal_forecast_rows_across_row_blocks():

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +113,14 @@ class TestMovingAverage:
         with pytest.raises(ValueError):
             moving_average(np.zeros(3), 5)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_width_one_is_exact_copy(self, order):
+        # a cumsum difference would round: up to 9.3e-14 relative at 1,097 samples
+        z = np.array(np.random.default_rng(11).normal(80.0, 5.0, (3, 1097)), order=order)
+        out = moving_average(z, 1)
+        assert np.array_equal(out, z)
+        assert out.flags.c_contiguous and not np.shares_memory(out, z)
+
 
 class TestQstar:
     def test_zero_window(self):
@@ -203,6 +213,18 @@ class TestRegularizedSolve:
         gram = np.eye(2)
         with pytest.raises(ValueError):
             regularized_solve(gram, 1.0, np.array([np.nan, 0.0]))
+
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ValueError, match="nu must be positive and finite, got inf"):
+            regularized_solve(np.eye(3), math.inf, np.ones(3))
+
+    def test_overflowing_solution_is_arithmetic_error(self):
+        # finite inputs whose solution overflows; any RuntimeWarning fails the test too
+        gram = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                regularized_solve(gram, 1e300, np.array([1e308, 1e308]))
 
     def test_never_fails_on_real_window_grams(self):
         # nu >= 0.1 bounds the condition number for any window geometry
@@ -316,15 +338,16 @@ class TestCausalForecast:
         assert not w.flags.writeable
 
     def test_presmoothed_window_skips_internal_smoothing(self):
+        # lookahead mode forecasts a once-smoothed window with ma_width 1
         rng = np.random.default_rng(8)
         hist = rng.normal(size=91)
         sm = moving_average(hist, 5)
-        via_arg = causal_forecast(hist, 3, presmoothed=sm)
+        width_one = CausalParams(ma_width=1)
         direct = causal_forecast(hist, 3)
-        assert np.array_equal(via_arg, direct)
+        assert np.array_equal(causal_forecast(sm, 3, width_one), direct)
 
         other = moving_average(np.concatenate([hist, [50.0] * 4]), 5)[:91]
-        assert not np.array_equal(causal_forecast(hist, 3, presmoothed=other), direct)
+        assert not np.array_equal(causal_forecast(other, 3, width_one), direct)
 
 
 class TestCausalParams:
@@ -408,10 +431,15 @@ def test_operator_matches_per_window_pipeline(case):
     gives forecasts one step (5e-324) apart with a relative bound of 0.
     """
     params, horizon, history, presmoothed = case
-    got = causal_forecast(history, horizon, params, presmoothed)
+    if presmoothed is None:
+        got = causal_forecast(history, horizon, params)
+        smoothed = moving_average(history, params.ma_width)
+    else:
+        # lookahead mode: the once-smoothed windows, forecast with ma_width 1
+        got = causal_forecast(presmoothed, horizon, replace(params, ma_width=1))
+        smoothed = presmoothed
     k = params.window_len
     kappa = np.linalg.cond(gram_matrix(Window(1, k), params) + params.nu * np.eye(k))
-    smoothed = moving_average(history, params.ma_width) if presmoothed is None else presmoothed
     for i, row in enumerate(history):
         pre = None if presmoothed is None else presmoothed[i]
         want = _reference_causal_forecast(row, horizon, params, pre)

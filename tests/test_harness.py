@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import strict_json
+from numpy.lib.stride_tricks import sliding_window_view
 
 import sigcast.harness
 from sigcast.baselines import LinearParams
-from sigcast.causal import CausalParams
+from sigcast.causal import CausalParams, causal_forecast
 from sigcast.harness import (
     ExperimentConfig,
     render_plot_csv,
@@ -138,6 +139,19 @@ class TestRunExperiment:
         # smoothing across window edges sees neighbouring samples, so the
         # windows after the first must differ
         assert not np.array_equal(track_a, track_b)
+
+    def test_lookahead_overflow_fails_only_its_windows(self):
+        # the once-smoothed series overflows from about sample 200 on, so the
+        # causal windows before that forecast and the later ones fail
+        values = np.concatenate([80.0 + np.sin(np.arange(200.0)), np.full(100, 1e308)])
+        config = ExperimentConfig(horizon=7, methods=("causal",), lookahead_smoothing=True)
+        result = run_experiment(TimeSeries(values), config)
+        windows = sliding_window_view(result.smoothed_series, 91)[::7][: result.n_windows]
+        finite = np.isfinite(windows).all(axis=1)
+        assert 0 < finite.sum() < result.n_windows
+        assert result.failures["causal"] == np.flatnonzero(~finite).tolist()
+        want = causal_forecast(windows[finite], 7, CausalParams(ma_width=1))
+        assert np.array_equal(result.tracks["causal"].reshape(-1, 7)[finite], want)
 
     def test_wall_time_recorded(self, ar_result):
         for m in ar_result.config.methods:

@@ -15,9 +15,47 @@ from sigcast.montecarlo import (
     run_sweep,
 )
 from sigcast.salsa import SalsaParams
+from sigcast.series import TimeSeries
+
+
+def _reference_generate_path(params, rng_seed=None):
+    """The AR recursion on numpy scalars, one array element at a time."""
+    rng = np.random.default_rng(params.seed if rng_seed is None else rng_seed)
+    gamma = rng.normal(0.0, params.noise_std, params.length)
+    coeff = rng.uniform(params.a_low, params.a_high, params.length)
+    z = np.empty(params.length)
+    z[0] = gamma[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, params.length):
+            z[t] = coeff[t] * z[t - 1] + gamma[t]
+    return TimeSeries(values=z + params.offset)
+
+
+def _path_or_error(make, params, seed):
+    try:
+        return make(params, rng_seed=seed).values
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestGeneratePath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(sorted),
+        noise_std=st.sampled_from([1.0, 1e-12, 1e250]),
+        length=st.sampled_from([2, 98, 1000]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_numpy_scalar_recursion(self, a, noise_std, length, seed):
+        # bit for bit, and the same error text where a path overflows
+        params = SimParams(length=length, a_low=a[0], a_high=a[1], noise_std=noise_std)
+        got = _path_or_error(generate_path, params, seed)
+        want = _path_or_error(_reference_generate_path, params, seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
     def test_degenerate_process_sits_at_offset(self):
         params = SimParams(length=50, a_low=0.0, a_high=0.0, noise_std=1e-12, offset=80.0, seed=1)
         path = generate_path(params)

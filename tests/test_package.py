@@ -1,6 +1,7 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
-every CSV table is written by one writer, every output file with `newline=""`, and
-every count is checked by one rule."""
+every CSV table is written by one writer, every output file with `newline=""`,
+every count is checked by one rule, and every method is forecast as
+(history, horizon, params)."""
 
 import ast
 import inspect
@@ -52,3 +53,13 @@ def test_one_count_rule():
             if "must be >=" in text} == {"series.py": 1}
     assert "must be >=" in inspect.getsource(sigcast.series.check_count)
     assert not any("_check_at_least_one" in text for text in sources.values())
+
+
+def test_one_forecast_signature():
+    # lookahead smoothing reaches the causal method as its history, not as a side argument
+    sources = [path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")]
+    assert not any("presmoothed" in text for text in sources)
+    assert list(inspect.signature(sigcast.harness.forecast).parameters) == [
+        "method", "history", "horizon", "params"]
+    assert list(inspect.signature(sigcast.causal_forecast).parameters) == [
+        "history", "horizon", "params"]

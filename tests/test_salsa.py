@@ -203,7 +203,8 @@ class TestObservationMask:
     @pytest.mark.parametrize("n_observed", [0, 6])
     def test_observed_prefix_within_signal(self, n_observed):
         # at least one sample known: with none the solve would return all zeros
-        with pytest.raises(ValueError, match="n_observed must lie in"):
+        message = "n_observed must be >= 1" if n_observed < 1 else "n_observed must lie in"
+        with pytest.raises(ValueError, match=message):
             ObservationMask.prefix(n_observed, 5)
 
 

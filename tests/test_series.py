@@ -14,7 +14,7 @@ from sigcast.cli import cmd_experiment, cmd_forecast, cmd_sweep
 from sigcast.harness import ExperimentConfig
 from sigcast.ingest import CsvSpec, read_csv_column
 from sigcast.montecarlo import SimParams, SweepGrid, run_sweep
-from sigcast.salsa import SalsaParams, salsa_forecast
+from sigcast.salsa import ObservationMask, SalsaParams, adjoint, salsa_forecast, synthesize
 from sigcast.series import (
     TimeSeries,
     Window,
@@ -174,6 +174,10 @@ COUNT_SITES = [
     pytest.param("horizon", 1,
                  lambda v: salsa_forecast(np.ones(8), v, SalsaParams(n_basis=16, n_iter=5)), 2,
                  id="salsa_forecast.horizon"),
+    pytest.param("n_observed", 1, lambda v: ObservationMask(v, 4), 2,
+                 id="ObservationMask.n_observed"),
+    pytest.param("out_len", 1, lambda v: synthesize(np.ones(8), v), 4, id="synthesize.out_len"),
+    pytest.param("n_basis", 1, lambda v: adjoint(np.ones(4), v), 8, id="adjoint.n_basis"),
     pytest.param("n_harmonics", 1, lambda v: CausalParams(n_harmonics=v), 3,
                  id="CausalParams.n_harmonics"),
     pytest.param("ma_width", 1, lambda v: CausalParams(ma_width=v), 3,
