@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .series import check_count
 
@@ -138,8 +139,9 @@ def soft_threshold(x, threshold):
     Accepts scalars or arrays and returns the same shape; T is a scalar or
     an ndarray that broadcasts against x, such as one (B, 1) column per row.
     """
-    negative = (threshold < 0).any() if isinstance(threshold, np.ndarray) else threshold < 0
-    if negative:
+    # a NaN threshold fails the test as written
+    valid = (threshold >= 0).all() if isinstance(threshold, np.ndarray) else threshold >= 0
+    if not valid:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     arr = np.asarray(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -223,8 +225,14 @@ def salsa_solve(
     y = y[..., :k]
 
     # bins 0..N//2 of each Hermitian iterate; the l1 term counts bins
-    # 1..N-1-N//2 twice, for their mirrors
-    c = np.fft.rfft(y, n=n_basis)
+    # 1..N-1-N//2 twice, for their mirrors. The transforms call the pocketfft
+    # kernels that numpy's rfft(x, n=N) and irfft(u, N) end in, with the same
+    # norm factors (1, and the double 1/N) and outputs allocated once: the
+    # same bits without the wrapper's argument handling on every call.
+    forward = _pocketfft.rfft_n_odd if n_basis % 2 else _pocketfft.rfft_n_even
+    spectrum = np.empty(y.shape[:-1] + (n_basis // 2 + 1,), dtype=complex)
+    signal = np.empty(y.shape[:-1] + (n_basis,))
+    c = forward(y, 1, out=np.empty_like(spectrum))
     d = np.zeros_like(c)
     l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
     l1_weight[0] = 1.0
@@ -238,10 +246,12 @@ def salsa_solve(
 
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
-        d = step * np.fft.rfft(y - n_basis * np.fft.irfft(u, n_basis)[..., :k], n=n_basis)
+        _pocketfft.irfft(u, 1 / n_basis, out=signal)
+        d = step * forward(y - n_basis * signal[..., :k], 1, out=spectrum)
         c = d + u
         if track_cost:
-            residual = target - n_basis * np.fft.irfft(c, n_basis)[..., :m_len]
+            _pocketfft.irfft(c, 1 / n_basis, out=signal)
+            residual = target - n_basis * signal[..., :m_len]
             cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
                 l1_weight * np.abs(c), axis=-1
             )
@@ -266,7 +276,9 @@ def salsa_forecast(
     `params` is one SalsaParams or one per row, as in :func:`salsa_solve`,
     which checks the history against them (:meth:`SalsaParams.check_window`).
     """
-    hist = np.asarray(history, dtype=float)
+    hist = np.asarray(history)
+    if not np.iscomplexobj(hist):
+        hist = np.asarray(hist, dtype=float)  # a complex one goes on to salsa_solve's check
     if hist.ndim not in (1, 2) or hist.shape[-1] < 1:
         raise ValueError("history must have shape (K,) or (B, K) with K >= 1")
     check_count("horizon", horizon)

@@ -1,5 +1,6 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
 every CSV table is written by one writer, every output file with `newline=""`,
+the SALSA loop calls numpy's pocketfft kernels,
 every count is checked by one rule, and every method is forecast as
 (history, horizon, params)."""
 
@@ -33,6 +34,15 @@ def test_one_csv_writer():
                 for alias in node.names}
     imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
     assert not {"csv", "io"} & imported
+
+
+def test_salsa_loop_calls_pocketfft_kernels():
+    # a numpy release that renames or changes the kernels fails here or on the bits
+    sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "_pocketfft_umath" in text] == ["salsa.py"]
+    assert "np.fft." not in inspect.getsource(sigcast.salsa.salsa_solve)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert '"numpy>=2.0"' in pyproject.read_text()
 
 
 def test_outputs_written_with_newline_empty():

@@ -108,6 +108,11 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+        # NaN fails every comparison, so the check is written to refuse it
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            soft_threshold(np.array([3.0, -2.0]), float("nan"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(np.ones((2, 3)), np.array([[0.5], [np.nan]]))
 
     @given(
         st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
@@ -199,6 +204,45 @@ def complex_prefix_solve(masked, mask, params, track_cost=True):
     return c, cost
 
 
+def _reference_rfft_solve(masked, mask, params, track_cost=True):
+    """The half-spectrum SALSA loop through the public np.fft.rfft and irfft.
+
+    This is salsa_solve as it was before its loop called the pocketfft
+    kernels directly, returning (c, cost_history) with c the full spectrum.
+    """
+    y = np.asarray(masked, dtype=float)
+    k, m_len = mask.n_observed, mask.total_len
+    shared, rows = _per_row(params, y[..., 0].size)
+    n_basis = shared.n_basis
+    target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+    y = y[..., :k]
+    c = np.fft.rfft(y, n=n_basis)
+    d = np.zeros_like(c)
+    l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
+    l1_weight[0] = 1.0
+    column = y.shape[:-1] + (1,)
+    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], column)
+    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], column)
+    lam = _column([p.lam for p in rows], y.shape[:-1])
+    cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
+    for i in range(shared.n_iter):
+        u = soft_threshold(c + d, thresh) - d
+        d = step * np.fft.rfft(y - n_basis * np.fft.irfft(u, n_basis)[..., :k], n=n_basis)
+        c = d + u
+        if track_cost:
+            residual = target - n_basis * np.fft.irfft(c, n_basis)[..., :m_len]
+            cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
+                l1_weight * np.abs(c), axis=-1
+            )
+    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
+    return c, cost
+
+
+def bits(a):
+    """The array's bytes as int64, so that -0.0 and 0.0 differ and NaN equals itself."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestObservationMask:
     @pytest.mark.parametrize("n_observed", [0, 6])
     def test_observed_prefix_within_signal(self, n_observed):
@@ -269,7 +313,66 @@ def test_half_spectrum_solve_matches_complex_loop(
     assert np.all(err <= 1e-9 * ref)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.sampled_from([None, 1, 3]),
+    m_len=st.integers(1, 30),
+    extra_basis=st.integers(0, 21),
+    n_iter=st.integers(1, 40),
+    track_cost=st.booleans(),
+)
+def test_kernel_solve_matches_np_fft_loop_bitwise(
+    data, rows, m_len, extra_basis, n_iter, track_cost
+):
+    # extra_basis 0 gives N == M, and its parity and m_len's give odd and even N
+    shape = () if rows is None else (rows,)
+    masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
+    mask = ObservationMask.prefix(data.draw(st.integers(1, m_len)), m_len)
+
+    def draw_params():
+        return SalsaParams(mu=data.draw(st.floats(0.05, 5.0)), lam=data.draw(st.floats(0.0, 5.0)),
+                           n_basis=m_len + extra_basis, n_iter=n_iter)
+
+    per_row = rows is not None and data.draw(st.booleans())
+    params = [draw_params() for _ in range(rows)] if per_row else draw_params()
+    state = salsa_solve(masked, mask, params, track_cost)
+    c, cost = _reference_rfft_solve(masked, mask, params, track_cost)
+    assert np.array_equal(bits(state.c), bits(c))
+    assert np.array_equal(bits(state.cost_history), bits(cost))
+
+
+@pytest.mark.parametrize("n_basis", [1, 2, 7, 8, 199, 200])
+def test_pocketfft_kernels_match_np_fft_bitwise(n_basis):
+    # the calls salsa_solve makes, against the np.fft calls they replace
+    kernels = sigcast.salsa._pocketfft
+    forward = kernels.rfft_n_odd if n_basis % 2 else kernels.rfft_n_even
+    rng = np.random.default_rng(n_basis)
+    for shape in [(), (3,), (0,)]:
+        for k in sorted({1, (n_basis + 1) // 2, n_basis}):
+            # a strided view, as salsa_solve's observed prefix y[..., :k] is
+            x = rng.normal(size=shape + (n_basis + 1,))[..., :k]
+            spectrum = np.empty(shape + (n_basis // 2 + 1,), dtype=complex)
+            assert forward(x, 1, out=spectrum) is spectrum
+            assert np.array_equal(bits(spectrum), bits(np.fft.rfft(x, n=n_basis)))
+        half = shape + (n_basis // 2 + 1,)
+        u = rng.normal(size=half) + 1j * rng.normal(size=half)
+        signal = np.empty(shape + (n_basis,))
+        assert kernels.irfft(u, 1 / n_basis, out=signal) is signal
+        assert np.array_equal(bits(signal), bits(np.fft.irfft(u, n_basis)))
+
+
 class TestSalsaSolve:
+    @pytest.mark.parametrize("track_cost", [False, True])
+    def test_zero_row_stack(self, track_cost):
+        # run_experiment stacks no rows when no window is finite
+        params = SalsaParams(n_basis=20, n_iter=5)
+        mask = ObservationMask.prefix(9, 12)
+        state = salsa_solve(np.zeros((0, 12)), mask, params, track_cost)
+        c, cost = _reference_rfft_solve(np.zeros((0, 12)), mask, params, track_cost)
+        assert state.c.shape == c.shape == (0, 20)
+        assert state.cost_history.shape == cost.shape == (0, 5 if track_cost else 0)
+
     def test_zero_signal_fixed_point(self):
         params = SalsaParams(n_basis=64, n_iter=30)
         mask = ObservationMask.prefix(20, 25)
@@ -365,6 +468,12 @@ class TestSalsaForecast:
         a = salsa_forecast(hist, 7, params)
         b = salsa_forecast(hist.copy(), 7, params)
         assert np.array_equal(a, b)
+
+    def test_rejects_complex_history(self):
+        history = np.zeros(20, dtype=complex)
+        history[3] = 1j
+        with pytest.raises(ValueError, match="must be real"):
+            salsa_forecast(history, 5, SalsaParams(n_basis=32, n_iter=3))
 
     def test_window_plus_horizon_must_fit_basis(self):
         with pytest.raises(ValueError):
