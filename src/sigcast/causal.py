@@ -15,10 +15,11 @@ is evaluated past the window edge to extrapolate. Forecast values are
 re-centered with the mean of the last three smoothed window samples, which
 tracks the local level of wandering series.
 
-Every step after the smoothing is linear in the smoothed window and uses the
-same time axis t = 1..2N+1, so :func:`causal_forecast` applies one cached
-matrix to all windows; :func:`causal_fit` and :func:`synthesize_causal` are
-the same pipeline one window at a time.
+Every step, the moving average included, is linear in the raw window and
+uses the same time axis t = 1..2N+1, so :func:`causal_forecast` applies one
+cached matrix to the centred raw windows; :func:`moving_average`,
+:func:`causal_fit` and :func:`synthesize_causal` are the same pipeline one
+window at a time.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ def sinc(u):
 
 def moving_average(values, width: int) -> np.ndarray:
     """Centered `width`-point mean along the last axis; edges use the
-    truncated window that fits. The result is C-contiguous; width 1 returns
-    a copy of the values, exactly."""
+    truncated window that fits. Each mean is its own window's samples summed
+    in order and divided by their count, so it depends on no other sample
+    and every row and memory order rounds alike. The result is
+    C-contiguous; width 1 returns a copy of the values, exactly."""
     vals = np.asarray(values, dtype=float)
     check_count("width", width)
     if width % 2 == 0:
@@ -127,19 +130,14 @@ def moving_average(values, width: int) -> np.ndarray:
     n = vals.shape[-1]
     if n < width:
         raise ValueError(f"series length {n} shorter than width {width}")
-    if width == 1:
-        return np.array(vals, order="C")
     half = width // 2
-    csum = np.zeros(vals.shape[:-1] + (n + 1,))
-    np.cumsum(vals, axis=-1, out=csum[..., 1:])
+    padded = np.zeros(vals.shape[:-1] + (n + 2 * half,))
+    padded[..., half : half + n] = vals
+    out = padded[..., :n].copy()
+    for lo in range(1, width):
+        out += padded[..., lo : lo + n]
     idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, n)
-    # np.take keeps C order, where csum[..., hi] would be Fortran-ordered;
-    # the in-place steps hold one temporary fewer at a time
-    out = np.take(csum, hi, axis=-1)
-    out -= np.take(csum, lo, axis=-1)
-    out /= hi - lo
+    out /= np.minimum(idx + half + 1, n) - np.maximum(idx - half, 0)
     return out
 
 
@@ -237,17 +235,20 @@ def causal_fit(smoothed, params: CausalParams) -> CausalCoefficients:
 
 @lru_cache(maxsize=32)
 def _operator(params: CausalParams, horizon: int) -> np.ndarray:
-    """The read-only (horizon, K) matrix W of the forecast s_mean + W (s - s_mean).
+    """The read-only (horizon, K) matrix V of the forecast x_mean + V (x - x_mean).
 
     With K = 2N+1 window samples at t = 1..K, forecast times t_f = K+1..K+h
     and tau putting 1/3 on the last three samples,
 
         W = (omega/pi)^2 S_f (R + nu*I)^-1 S^T (I - 11^T/K) + 1 tau^T,
+        V = W M,
 
-    where S and S_f are the sinc designs at t and t_f. The first term is the
-    centred fit extrapolated by :func:`synthesize_causal`, the second the
-    tail-mean re-centring, so W 1 = 1. Built with one solve over the K
-    columns; every column meets the residual rule of :func:`regularized_solve`.
+    where S and S_f are the sinc designs at t and t_f and M is the moving
+    average of width ma_width. The first term of W is the centred fit of the
+    smoothed window extrapolated by :func:`synthesize_causal`, the second the
+    tail-mean re-centring, so W 1 = 1; M 1 = 1 too, so V 1 = 1. Built with
+    one solve over the K columns; every column meets the residual rule of
+    :func:`regularized_solve`.
     """
     k = params.window_len
     scale = params.omega / np.pi
@@ -257,24 +258,23 @@ def _operator(params: CausalParams, horizon: int) -> np.ndarray:
     t_fc = np.arange(k + 1, k + horizon + 1, dtype=float)
     w = scale * (_sinc_design(t_fc, params.n_harmonics, params.omega) @ y)
     w[:, -TAIL_MEAN_SAMPLES:] += 1 / TAIL_MEAN_SAMPLES
-    w.flags.writeable = False
-    return w
-
-
-# rows smoothed and centred at a time, so the temporaries stay at 64 x K
-# floats however many windows are stacked
-_ROW_BLOCK = 64
+    # row i of the moving average of I is column i of M, each entry 1/count rounded once
+    v = w @ moving_average(np.eye(k), params.ma_width).T
+    v.flags.writeable = False
+    return v
 
 
 def causal_forecast(history, horizon: int, params: CausalParams = CausalParams()) -> np.ndarray:
     """Forecast `horizon` samples past histories of shape (K,) or (B, K), K = 2N+1.
 
-    The window is smoothed by the moving average, and the forecast is
-    s_mean + W (s - s_mean) for the smoothed window s with mean s_mean: the
-    sinc fit of the mean-centred window, extrapolated to t = K+1 .. K+h and
-    re-centred at the mean of the last three smoothed samples. W is built
-    once per (params, horizon) and cached (see :func:`_operator`). Row i of
-    a (B, horizon) result equals the call on row i alone.
+    The forecast is x_mean + V (x - x_mean) for the raw window x with mean
+    x_mean, where V = W M folds the moving average M into the map W of the
+    smoothed window: the sinc fit of the smoothed, mean-centred window,
+    extrapolated to t = K+1 .. K+h and re-centred at the mean of the last
+    three smoothed samples. V 1 = 1, so centring the raw window changes
+    nothing in exact arithmetic and keeps constant histories exact. V is
+    built once per (params, horizon) and cached (see :func:`_operator`).
+    Row i of a (B, horizon) result equals the call on row i alone.
     """
     hist = np.asarray(history, dtype=float)
     if hist.ndim not in (1, 2):
@@ -284,16 +284,14 @@ def causal_forecast(history, horizon: int, params: CausalParams = CausalParams()
     if not np.all(np.isfinite(hist)):
         raise ValueError("history must be finite")
 
-    w = _operator(params, horizon)
-    rows = np.atleast_2d(hist)
+    v = _operator(params, horizon)
+    # a C-contiguous stack and one sum per step keep every row's rounding
+    # independent of B and of the memory order, so row i equals the 1-D call
+    # bit for bit
+    rows = np.ascontiguousarray(np.atleast_2d(hist))
+    mean = np.mean(rows, axis=-1)
+    centred = rows - mean[:, None]
     out = np.empty((len(rows), horizon))
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        sm = moving_average(rows[block], params.ma_width)
-        # a C-contiguous stack and one sum per step keep every row's rounding
-        # independent of B, so row i equals the 1-D call bit for bit
-        mean = np.mean(sm, axis=-1)
-        centred = sm - mean[:, None]
-        for j in range(horizon):
-            out[block, j] = mean + np.sum(centred * w[j], axis=-1)
+    for j in range(horizon):
+        out[:, j] = mean + np.sum(centred * v[j], axis=-1)
     return out if hist.ndim == 2 else out[0]

@@ -236,9 +236,10 @@ def test_criterion_5c_two_step_forecast_error():
         re-centre at the window mean and evaluate at t = 92, 93. The error
         measures 0.069 (0.132 at nu = 1e-5).
     (b) At the defaults, causal_forecast equals that extrapolation from the
-        smoothed window plus tail_mean, to 1e-12 relative (measured 2.1e-16).
-        The forecast applies one precomputed matrix to the window where the
-        fit solves per window, so the two round differently in the last bits;
+        smoothed window plus tail_mean, to 1e-12 relative (measured 2.3e-16).
+        The forecast applies one precomputed matrix to the raw window where
+        the fit smooths and solves per window, so the two round differently
+        in the last bits;
         each fault in the 5c decomposition (re-centring at the window mean, a
         0.237 shift; shifted forecast times; rescaled synthesis; doubled nu)
         moves it by far more than 1e-12.

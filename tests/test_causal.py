@@ -25,12 +25,70 @@ from sigcast.series import Window
 SMALL = CausalParams(n_harmonics=6)  # 13 coefficients, keeps brute force cheap
 
 
-def _reference_causal_forecast(history, horizon, params=CausalParams(), presmoothed=None):
-    """The causal pipeline one window at a time: moving average, window-mean
+def _cumsum_moving_average(values, width):
+    """The moving average as a difference of two running sums: each mean
+    then depends on every earlier sample's rounding, and the sums overflow
+    on large finite series."""
+    vals = np.asarray(values, dtype=float)
+    n = vals.shape[-1]
+    if width == 1:
+        return np.array(vals, order="C")
+    half = width // 2
+    csum = np.zeros(vals.shape[:-1] + (n + 1,))
+    np.cumsum(vals, axis=-1, out=csum[..., 1:])
+    idx = np.arange(n)
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half + 1, n)
+    out = np.take(csum, hi, axis=-1)
+    out -= np.take(csum, lo, axis=-1)
+    out /= hi - lo
+    return out
+
+
+def _block_causal_forecast(history, horizon, params=CausalParams()):
+    """The forecast before the moving average was folded into the operator:
+    each 64-row block is smoothed by the running-sum average and centred at
+    its smoothed mean, then W is applied. W is the operator at ma_width 1,
+    where M = I."""
+    w = _operator(replace(params, ma_width=1), horizon)
+    rows = np.atleast_2d(np.asarray(history, dtype=float))
+    out = np.empty((len(rows), horizon))
+    for lo in range(0, len(rows), 64):
+        block = slice(lo, lo + 64)
+        sm = _cumsum_moving_average(rows[block], params.ma_width)
+        mean = np.mean(sm, axis=-1)
+        centred = sm - mean[:, None]
+        for j in range(horizon):
+            out[block, j] = mean + np.sum(centred * w[j], axis=-1)
+    return out if np.ndim(history) == 2 else out[0]
+
+
+def _linear_map_bound(params, smoothed):
+    """How far two ways of applying the causal map to a window may round apart.
+
+    Both apply the same linear map in a different order, so they differ by
+    rounding alone. A backward-stable solve is accurate to about kappa * eps
+    relative, kappa the condition number of R + nu*I (at most
+    1 + (omega/pi)/nu <= 1001 for nu >= 1e-3, since R <= (omega/pi) I), and
+    the K-term sums add up to K * eps. So the forecasts must agree to
+    K * eps * (|mean(s)| + kappa * ||s - mean(s)||) for the smoothed window
+    s, kept with a factor 4 margin. Below the normal range rounding is
+    absolute, not relative, so the bound has a floor of K * kappa subnormal
+    steps.
+    """
+    k = params.window_len
+    kappa = np.linalg.cond(gram_matrix(Window(1, k), params) + params.nu * np.eye(k))
+    mean = np.mean(smoothed)
+    scale = abs(mean) + kappa * np.linalg.norm(smoothed - mean)
+    tiny = np.finfo(float).smallest_subnormal
+    return max(4 * k * np.finfo(float).eps * scale, k * kappa * tiny)
+
+
+def _reference_causal_forecast(smoothed, horizon, params=CausalParams()):
+    """The causal pipeline one smoothed window at a time: window-mean
     centring, projection and regularized solve (causal_fit), synthesis past
     the window and tail-mean re-centring."""
-    sm = moving_average(history, params.ma_width) if presmoothed is None else presmoothed
-    fit = causal_fit(sm, params)
+    fit = causal_fit(smoothed, params)
     k = params.window_len
     return synthesize_causal(fit, np.arange(k + 1, k + horizon + 1), params) + fit.tail_mean
 
@@ -117,9 +175,54 @@ class TestMovingAverage:
     def test_width_one_is_exact_copy(self, order):
         # a cumsum difference would round: up to 9.3e-14 relative at 1,097 samples
         z = np.array(np.random.default_rng(11).normal(80.0, 5.0, (3, 1097)), order=order)
+        z[0, 0] = -0.0
         out = moving_average(z, 1)
-        assert np.array_equal(out, z)
+        assert np.array_equal(out.view(np.int64), np.ascontiguousarray(z).view(np.int64))
         assert out.flags.c_contiguous and not np.shares_memory(out, z)
+
+    def test_large_finite_series_stays_finite(self):
+        # every 5-sample window sums to at most 5.7e307, but running sums
+        # reach inf: the cumulative-sum average left 16 of 200 values finite
+        z = 1e307 + np.random.default_rng(0).normal(0.0, 1e306, 200)
+        out = moving_average(z, 5)
+        windows = [z[max(i - 2, 0) : i + 3] for i in range(200)]
+        assert all(w.min() <= o <= w.max() for o, w in zip(out, windows))
+
+    @given(
+        width=st.sampled_from([1, 3, 5, 9, 11, 21]),
+        series=st.integers(21, 400).flatmap(
+            lambda n: arrays(np.float64, (3, n), elements=st.floats(-1e6, 1e6))
+        ),
+        offset=st.floats(-1e4, 1e4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fsum_mean(self, width, series, offset):
+        """Each value is its window's mean to width * eps of the window's mean
+        magnitude, however long the series: width - 1 additions and one
+        division, each rounding by at most eps relative to the summed
+        magnitudes, plus half a subnormal step for a division below the
+        normal range. Rows and memory orders round alike."""
+        z = series + offset
+        out = moving_average(np.asfortranarray(z), width)
+        half = width // 2
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        for row, got in zip(z, out):
+            assert np.array_equal(moving_average(row, width), got)
+            for i in range(row.size):
+                win = row[max(i - half, 0) : i + half + 1]
+                want = math.fsum(win) / win.size
+                assert abs(got[i] - want) <= width * eps * np.mean(np.abs(win)) + tiny
+
+    def test_no_drift_with_series_length(self):
+        # the running-sum average was off by 2.0e-12 of the window's mean
+        # magnitude at 36,500 samples, a difference of two sums of that many terms
+        rng = np.random.default_rng(12)
+        z = 80.0 + np.cumsum(rng.normal(0.0, 1.0, 36_500))
+        windows = [z[max(i - 2, 0) : i + 3] for i in range(z.size)]
+        want = np.array([math.fsum(win) / win.size for win in windows])
+        magnitude = np.array([np.mean(np.abs(win)) for win in windows])
+        assert np.all(np.abs(moving_average(z, 5) - want) <= 5 * np.finfo(float).eps * magnitude)
+        assert np.max(np.abs(_cumsum_moving_average(z, 5) - want) / magnitude) > 1e-14
 
 
 class TestQstar:
@@ -332,19 +435,23 @@ class TestCausalForecast:
             assert np.max(np.abs(shift - c)) <= 1e-12 * (1 + abs(c))
 
     def test_operator_passes_level_through(self):
-        # W 1 = 1: the fit term sees no level, and the tail mean carries it
-        w = _operator(CausalParams(nu=1e-3), 5)
-        assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
-        assert not w.flags.writeable
+        # W 1 = 1: the fit term sees no level, and the tail mean carries it;
+        # M 1 = 1, so V = W M passes it too, and at width 1 V is W
+        for ma_width in (5, 1):
+            v = _operator(CausalParams(nu=1e-3, ma_width=ma_width), 5)
+            assert np.max(np.abs(v.sum(axis=1) - 1.0)) < 1e-12
+            assert not v.flags.writeable
 
     def test_presmoothed_window_skips_internal_smoothing(self):
-        # lookahead mode forecasts a once-smoothed window with ma_width 1
+        # lookahead mode forecasts a once-smoothed window with ma_width 1:
+        # W applied to s where the default applies V = W M to the raw window
         rng = np.random.default_rng(8)
         hist = rng.normal(size=91)
         sm = moving_average(hist, 5)
         width_one = CausalParams(ma_width=1)
         direct = causal_forecast(hist, 3)
-        assert np.array_equal(causal_forecast(sm, 3, width_one), direct)
+        deviation = np.max(np.abs(causal_forecast(sm, 3, width_one) - direct))
+        assert deviation <= _linear_map_bound(CausalParams(), sm)
 
         other = moving_average(np.concatenate([hist, [50.0] * 4]), 5)[:91]
         assert not np.array_equal(causal_forecast(other, 3, width_one), direct)
@@ -416,20 +523,13 @@ def causal_cases(draw):
 )
 @settings(max_examples=60, deadline=None)
 def test_operator_matches_per_window_pipeline(case):
-    """The cached operator forecasts what the per-window pipeline does.
-
-    Both apply the same linear map to the smoothed window s, in a different
-    order: the pipeline solves (R + nu*I) y = b for each window, the operator
-    solved it once for every column. A backward-stable solve is accurate to
-    about kappa * eps relative, kappa the condition number of R + nu*I (at
-    most 1 + (omega/pi)/nu <= 1001 here, since R <= (omega/pi) I), and the
-    K-term sums add up to K * eps. So the forecasts must agree to
-    K * eps * (|mean(s)| + kappa * ||s - mean(s)||), kept with a factor 4
-    margin (the worst of 3,000 random rows reached 0.31 of the bound).
-    Below the normal range rounding is absolute, not relative, so the bound
-    has a floor of K * kappa subnormal steps: the pinned subnormal history
-    gives forecasts one step (5e-324) apart with a relative bound of 0.
-    """
+    """The cached operator forecasts what the per-window pipeline does, to
+    the rounding bound of :func:`_linear_map_bound`: the pipeline smooths
+    and solves (R + nu*I) y = b for each window, the operator solved it once
+    for every column and folded the smoothing in. Of 3,000 random rows drawn
+    like these cases, the worst reached 0.094 of the bound (0.107 before the
+    fold); the pinned subnormal history gives forecasts one step (5e-324)
+    apart with a relative bound of 0."""
     params, horizon, history, presmoothed = case
     if presmoothed is None:
         got = causal_forecast(history, horizon, params)
@@ -438,13 +538,24 @@ def test_operator_matches_per_window_pipeline(case):
         # lookahead mode: the once-smoothed windows, forecast with ma_width 1
         got = causal_forecast(presmoothed, horizon, replace(params, ma_width=1))
         smoothed = presmoothed
-    k = params.window_len
-    kappa = np.linalg.cond(gram_matrix(Window(1, k), params) + params.nu * np.eye(k))
-    for i, row in enumerate(history):
-        pre = None if presmoothed is None else presmoothed[i]
-        want = _reference_causal_forecast(row, horizon, params, pre)
-        mean = np.mean(smoothed[i])
-        scale = abs(mean) + kappa * np.linalg.norm(smoothed[i] - mean)
-        tiny = np.finfo(float).smallest_subnormal
-        bound = max(4 * k * np.finfo(float).eps * scale, k * kappa * tiny)
-        assert np.max(np.abs(got[i] - want)) <= bound
+    for i in range(len(history)):
+        want = _reference_causal_forecast(smoothed[i], horizon, params)
+        assert np.max(np.abs(got[i] - want)) <= _linear_map_bound(params, smoothed[i])
+
+
+@given(case=causal_cases())
+@settings(max_examples=60, deadline=None)
+def test_folded_operator_matches_block_loop(case):
+    """V = W M applied to the centred raw window forecasts what smoothing
+    each block and applying W did, to the same rounding bound; at ma_width 1,
+    where M = I, bit for bit."""
+    params, horizon, history, presmoothed = case
+    if presmoothed is not None:
+        history, params = presmoothed, replace(params, ma_width=1)
+    got = causal_forecast(history, horizon, params)
+    want = _block_causal_forecast(history, horizon, params)
+    if params.ma_width == 1:
+        assert np.array_equal(got, want)
+    smoothed = moving_average(history, params.ma_width)
+    for i in range(len(history)):
+        assert np.max(np.abs(got[i] - want[i])) <= _linear_map_bound(params, smoothed[i])

@@ -1,8 +1,9 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
 every CSV table is written by one writer, every output file with `newline=""`,
 the SALSA loop calls numpy's pocketfft kernels,
-every count is checked by one rule, and every method is forecast as
-(history, horizon, params)."""
+every count is checked by one rule, every method is forecast as
+(history, horizon, params), and the causal forecast is one cached map of the
+raw window."""
 
 import ast
 import inspect
@@ -73,3 +74,10 @@ def test_one_forecast_signature():
         "method", "history", "horizon", "params"]
     assert list(inspect.signature(sigcast.causal_forecast).parameters) == [
         "history", "horizon", "params"]
+
+
+def test_causal_forecast_is_one_map_of_the_raw_window():
+    # the moving average is folded into the cached operator; a smoothing pass
+    # or a row-block loop put back into the forecast fails here
+    assert "moving_average" not in inspect.getsource(sigcast.causal.causal_forecast)
+    assert not hasattr(sigcast.causal, "_ROW_BLOCK")
