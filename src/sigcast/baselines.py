@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import check_count
+from .series import check_count, check_samples
 
 __all__ = ["LinearParams", "linear_forecast"]
 
@@ -48,13 +48,9 @@ def linear_forecast(history, horizon: int, params: LinearParams = LinearParams()
     Each row is extrapolated on its own; a stack gives a (B, horizon) result.
     A history that is not finite raises ValueError.
     """
-    hist = np.asarray(history, dtype=float)
-    if hist.ndim not in (1, 2):
-        raise ValueError("history must have shape (K,) or (B, K)")
+    hist = check_samples("history", history)
     check_count("horizon", horizon)
     params.check_window(hist.shape[-1], horizon)
-    if not np.all(np.isfinite(hist)):
-        raise ValueError("history must be finite")
     if params.variant == "two_point_span":
         slope = (hist[..., -1] - hist[..., -1 - params.lookback]) / params.lookback
     else:

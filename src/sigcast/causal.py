@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import Window, check_count
+from .series import Window, check_count, check_samples
 
 __all__ = [
     "CausalParams",
@@ -182,7 +182,9 @@ def regularized_solve(gram, nu: float, b) -> np.ndarray:
 
     Each right-hand side must be solved to a residual below 1e-8 * ||b||, or
     ArithmeticError is raised without a numpy warning; a y that is not finite
-    leaves a residual that is not, and fails.
+    leaves a residual that is not, and fails. Both norms are taken of each
+    column divided by max(||b||_inf, 1), so squaring entries above about
+    1e154 cannot overflow the rule.
     """
     gram = np.asarray(gram, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -196,8 +198,9 @@ def regularized_solve(gram, nu: float, b) -> np.ndarray:
         raise ValueError(f"nu must be positive and finite, got {nu}")
     system = gram + nu * np.eye(gram.shape[0])
     y = np.linalg.solve(system, b)
-    resid = np.linalg.norm(system @ y - b, axis=0)
-    if not np.all((resid == 0) | (resid < 1e-8 * np.linalg.norm(b, axis=0))):
+    scale = np.max(np.abs(b), axis=0, initial=1.0)
+    resid = np.linalg.norm((system @ y - b) / scale, axis=0)
+    if not np.all((resid == 0) | (resid < 1e-8 * np.linalg.norm(b / scale, axis=0))):
         raise ArithmeticError(
             f"regularized solve residual {np.max(resid):.3e} exceeds 1e-8 * ||b||"
         )
@@ -276,14 +279,9 @@ def causal_forecast(history, horizon: int, params: CausalParams = CausalParams()
     built once per (params, horizon) and cached (see :func:`_operator`).
     Row i of a (B, horizon) result equals the call on row i alone.
     """
-    hist = np.asarray(history, dtype=float)
-    if hist.ndim not in (1, 2):
-        raise ValueError("history must have shape (K,) or (B, K)")
+    hist = check_samples("history", history)
     check_count("horizon", horizon)
     params.check_window(hist.shape[-1], horizon)
-    if not np.all(np.isfinite(hist)):
-        raise ValueError("history must be finite")
-
     v = _operator(params, horizon)
     # a C-contiguous stack and one sum per step keep every row's rounding
     # independent of B and of the memory order, so row i equals the 1-D call

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from .harness import (
     render_report,
     run_experiment,
 )
-from .ingest import MISSING_POLICIES, CsvSpec, csv_text, read_csv_column, write_csv
+from .ingest import MISSING_POLICIES, CsvSpec, csv_text, read_csv_column, write_atomic, write_csv
 from .montecarlo import SimParams, SweepGrid, SweepTable, generate_path, run_sweep
 from .salsa import SalsaParams, salsa_forecast  # noqa: F401
 from .series import check_count
@@ -198,8 +197,8 @@ def cmd_forecast(args) -> int:
             text = csv_text(["step", "value"], enumerate(values, 1))
         else:
             text = "\n".join(map(repr, values)) + "\n"
-        _write_atomic(out / "forecast_params.json", json.dumps(meta, indent=2) + "\n")
-    _write_atomic(out / f"forecast.{FORMATS[args.format]}", text)
+        write_atomic(out / "forecast_params.json", json.dumps(meta, indent=2) + "\n")
+    write_atomic(out / f"forecast.{FORMATS[args.format]}", text)
     return 0
 
 
@@ -219,17 +218,9 @@ def cmd_experiment(args) -> int:
     )
     result = run_experiment(_read_series(args), config)
     out = _out_dir(args)
-    _write_atomic(out / f"report.{FORMATS[args.format]}", render_report(result, args.format))
-    _write_atomic(out / "plot_data.csv", render_plot_csv(result))
+    write_atomic(out / f"report.{FORMATS[args.format]}", render_report(result, args.format))
+    write_atomic(out / "plot_data.csv", render_plot_csv(result))
     return 0
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path's contents so an interrupted write leaves the old file."""
-    tmp = path.with_name(path.name + ".tmp")
-    # newline="" keeps "\n" line ends on every platform
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
 
 
 def cmd_sweep(args) -> int:
@@ -253,8 +244,8 @@ def cmd_sweep(args) -> int:
         print(f"resuming: {len(done)} cells already done", file=sys.stderr)
 
     def save(rows):
-        _write_atomic(csv_path, SweepTable(rows).to_csv())
-        _write_atomic(json_path, SweepTable(rows).to_json(grid, sim))
+        write_atomic(csv_path, SweepTable(rows).to_csv())
+        write_atomic(json_path, SweepTable(rows).to_json(grid, sim))
 
     # save the cells so far as each one finishes, so an interrupted run can resume
     def persist(row):

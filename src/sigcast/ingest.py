@@ -5,8 +5,8 @@ One numeric column is pulled out of an RFC-4180-style CSV into a
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
 handled by the configured policy; a read of only the last values starts
 at the end of the file. :func:`csv_text` is the one writer of every CSV
-table sigcast produces, and :func:`float_cells` formats a column of floats
-for it.
+table sigcast produces, :func:`float_cells` formats a column of floats
+for it, and :func:`write_atomic` writes every output file.
 """
 
 from __future__ import annotations
@@ -214,5 +214,13 @@ def float_cells(values: np.ndarray, repeats: bool = False) -> list[str]:
 
 def write_csv(series: TimeSeries, path: str | Path) -> None:
     """Write index/value rows at full precision; read back with read_csv_column."""
-    text = csv_text(["index", "value"], enumerate(series.values.tolist()))
-    Path(path).write_text(text, newline="")
+    write_atomic(Path(path), csv_text(["index", "value"], enumerate(series.values.tolist())))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """The one file writer: replace path's contents so an interrupted write
+    leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    # newline="" keeps "\n" line ends on every platform
+    tmp.write_text(text, newline="")
+    os.replace(tmp, path)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .series import check_count
+from .series import check_count, check_samples
 
 __all__ = [
     "SalsaParams",
@@ -204,19 +204,12 @@ def salsa_solve(
     recorded after every iteration, shape (..., n_iter), with the unobserved
     positions of `masked` counted as zeros.
     """
-    y = np.asarray(masked)
-    if y.ndim not in (1, 2) or y.shape[-1] != mask.total_len:
-        raise ValueError(
-            f"masked signal must have shape (M,) or (B, M) with M = {mask.total_len}"
-        )
-    if np.iscomplexobj(y) and np.any(y.imag != 0):
-        raise ValueError("masked signal must be real")
-    y = np.asarray(y.real, dtype=float)
+    y = check_samples("masked signal", masked)
+    if y.shape[-1] != mask.total_len:
+        raise ValueError(f"masked signal must have M = {mask.total_len} samples, got {y.shape}")
     k, m_len = mask.n_observed, mask.total_len
     shared, rows = _per_row(params, y[..., 0].size)
     shared.check_window(k, m_len - k)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("masked signal must be finite")
     n_basis = shared.n_basis
 
     # the FFT zero-pads the observed prefix, so the unobserved samples never
@@ -276,11 +269,7 @@ def salsa_forecast(
     `params` is one SalsaParams or one per row, as in :func:`salsa_solve`,
     which checks the history against them (:meth:`SalsaParams.check_window`).
     """
-    hist = np.asarray(history)
-    if not np.iscomplexobj(hist):
-        hist = np.asarray(hist, dtype=float)  # a complex one goes on to salsa_solve's check
-    if hist.ndim not in (1, 2) or hist.shape[-1] < 1:
-        raise ValueError("history must have shape (K,) or (B, K) with K >= 1")
+    hist = check_samples("history", history)
     check_count("horizon", horizon)
     k = hist.shape[-1]
     m_len = k + horizon

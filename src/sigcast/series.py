@@ -34,6 +34,24 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def check_samples(name: str, values) -> np.ndarray:
+    """The one sample rule: `values` as a float64 array of shape (K,) or
+    (B, K) with K >= 1, every value finite and real (a complex array passes
+    as its real part when every imaginary part is zero); ValueError naming
+    `name` otherwise. A float64 array is returned as it is, not copied."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals):
+        if np.any(vals.imag != 0):
+            raise ValueError(f"{name} must be real")
+        vals = vals.real
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] < 1:
+        raise ValueError(f"{name} must have shape (K,) or (B, K) with K >= 1, got {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled real-valued sequence.
@@ -44,13 +62,9 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = check_samples("values", self.values)
         if vals.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {vals.shape}")
-        if vals.size < 1:
-            raise ValueError("empty input")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite (no NaN/inf)")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

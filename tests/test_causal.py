@@ -74,12 +74,13 @@ def _linear_map_bound(params, smoothed):
     K * eps * (|mean(s)| + kappa * ||s - mean(s)||) for the smoothed window
     s, kept with a factor 4 margin. Below the normal range rounding is
     absolute, not relative, so the bound has a floor of K * kappa subnormal
-    steps.
+    steps. The norm is taken with math.hypot, which does not square entries:
+    np.linalg.norm returns 0 once they fall below about 1e-162.
     """
     k = params.window_len
     kappa = np.linalg.cond(gram_matrix(Window(1, k), params) + params.nu * np.eye(k))
     mean = np.mean(smoothed)
-    scale = abs(mean) + kappa * np.linalg.norm(smoothed - mean)
+    scale = abs(mean) + kappa * math.hypot(*(smoothed - mean))
     tiny = np.finfo(float).smallest_subnormal
     return max(4 * k * np.finfo(float).eps * scale, k * kappa * tiny)
 
@@ -329,6 +330,14 @@ class TestRegularizedSolve:
             with pytest.raises(ArithmeticError):
                 regularized_solve(gram, 1e300, np.array([1e308, 1e308]))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-200])
+    def test_residual_rule_holds_at_any_scale(self, scale):
+        # ||r|| and ||b|| square each entry, which overflowed above about 1e154
+        history = 80 + np.sin(np.arange(91) / 5)
+        unit = causal_fit(history, CausalParams())
+        fit = causal_fit(scale * history, CausalParams())
+        assert np.allclose(fit.y / scale, unit.y, rtol=1e-12, atol=1e-12 * np.max(np.abs(unit.y)))
+
     def test_never_fails_on_real_window_grams(self):
         # nu >= 0.1 bounds the condition number for any window geometry
         rng = np.random.default_rng(10)
@@ -512,6 +521,16 @@ def causal_cases(draw):
     return params, draw(st.integers(1, 10)), history, presmoothed
 
 
+# a history near 1e-188, where a norm that squares entries underflows to 0;
+# the forecasts differ by 1.5e-203, above the bound that norm gave (1.1e-203)
+TINY_WINDOW_CASE = (
+    CausalParams(omega=1.03125, nu=1e-3, n_harmonics=3, ma_width=1),
+    1,
+    np.array([[1.2451543e-188, 0, 0, 0, 0, 0, 0]]),
+    None,
+)
+
+
 @given(case=causal_cases())
 @example(
     case=(
@@ -521,6 +540,7 @@ def causal_cases(draw):
         None,
     )
 )
+@example(case=TINY_WINDOW_CASE)
 @settings(max_examples=60, deadline=None)
 def test_operator_matches_per_window_pipeline(case):
     """The cached operator forecasts what the per-window pipeline does, to
@@ -544,6 +564,7 @@ def test_operator_matches_per_window_pipeline(case):
 
 
 @given(case=causal_cases())
+@example(case=TINY_WINDOW_CASE)
 @settings(max_examples=60, deadline=None)
 def test_folded_operator_matches_block_loop(case):
     """V = W M applied to the centred raw window forecasts what smoothing

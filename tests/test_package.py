@@ -1,9 +1,9 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
-every CSV table is written by one writer, every output file with `newline=""`,
-the SALSA loop calls numpy's pocketfft kernels,
-every count is checked by one rule, every method is forecast as
-(history, horizon, params), and the causal forecast is one cached map of the
-raw window."""
+every CSV table is written by one writer, every output file by one writer
+with `newline=""`, the SALSA loop calls numpy's pocketfft kernels, every
+count and every array of samples is checked by one rule, every method is
+forecast as (history, horizon, params), and the causal forecast is one
+cached map of the raw window."""
 
 import ast
 import inspect
@@ -51,7 +51,8 @@ def test_outputs_written_with_newline_empty():
     sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
     calls = [(name, node) for name, text in sources.items() for node in ast.walk(ast.parse(text))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "write_text"]
-    assert [name for name, _ in calls].count("cli.py") == 1
+    # ingest.write_atomic is the one file writer
+    assert [name for name, _ in calls] == ["ingest.py"]
     for name, node in calls:
         newline = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "newline"]
         assert newline == [""], name
@@ -64,6 +65,14 @@ def test_one_count_rule():
             if "must be >=" in text} == {"series.py": 1}
     assert "must be >=" in inspect.getsource(sigcast.series.check_count)
     assert not any("_check_at_least_one" in text for text in sources.values())
+
+
+def test_one_sample_rule():
+    # series.check_samples states "must be real"; a hand-written history check fails here
+    sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "must be real" in text] == ["series.py"]
+    assert "must be real" in inspect.getsource(sigcast.series.check_samples)
+    assert not any("history must" in text for text in sources.values())
 
 
 def test_one_forecast_signature():

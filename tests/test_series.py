@@ -14,7 +14,14 @@ from sigcast.cli import cmd_experiment, cmd_forecast, cmd_sweep
 from sigcast.harness import ExperimentConfig
 from sigcast.ingest import CsvSpec, read_csv_column
 from sigcast.montecarlo import SimParams, SweepGrid, run_sweep
-from sigcast.salsa import ObservationMask, SalsaParams, adjoint, salsa_forecast, synthesize
+from sigcast.salsa import (
+    ObservationMask,
+    SalsaParams,
+    adjoint,
+    salsa_forecast,
+    salsa_solve,
+    synthesize,
+)
 from sigcast.series import (
     TimeSeries,
     Window,
@@ -239,3 +246,58 @@ def test_count_rule(name, low, call, valid):
         call(low - 1)
     if valid is not None:
         call(np.int64(valid))
+
+
+# (argument, call): call(values) passes the samples to the entry point as that
+# argument; each call takes K = 7 samples and forecasts 2 more
+SAMPLE_SITES = [
+    pytest.param("values", lambda v: TimeSeries(v).values, id="TimeSeries"),
+    pytest.param("history", lambda v: linear_forecast(v, 2), id="linear_forecast"),
+    pytest.param("history", lambda v: causal_forecast(v, 2, CausalParams(n_harmonics=3)),
+                 id="causal_forecast"),
+    pytest.param("history", lambda v: salsa_forecast(v, 2, SalsaParams(n_basis=16, n_iter=5)),
+                 id="salsa_forecast"),
+    pytest.param("masked signal",
+                 lambda v: salsa_solve(v, ObservationMask(5, 7),
+                                       SalsaParams(n_basis=16, n_iter=5)).c,
+                 id="salsa_solve"),
+]
+
+SAMPLES = 80 + np.sin(np.arange(7.0))
+
+
+def _with(index, value, dtype=float):
+    values = SAMPLES.astype(dtype)
+    values[index] = value
+    return values
+
+
+# (values, message): samples every entry point refuses, and why
+BAD_SAMPLES = [
+    pytest.param(np.array(80.0), "must have shape", id="0-d"),
+    pytest.param(SAMPLES.reshape(1, 1, 7), "must have shape", id="3-D"),
+    pytest.param(np.zeros(0), "must have shape", id="K=0"),
+    pytest.param(_with(2, np.nan), "must be finite", id="nan"),
+    pytest.param(_with(2, np.inf), "must be finite", id="inf"),
+    pytest.param(_with(2, -np.inf), "must be finite", id="-inf"),
+    pytest.param(_with(2, None, object), "must be finite", id="None"),
+    pytest.param(_with(6, SAMPLES[6] + 1e-300j, complex), "must be real", id="1e-300j"),
+]
+
+
+@pytest.mark.parametrize("values, message", BAD_SAMPLES)
+@pytest.mark.parametrize("name, call", SAMPLE_SITES)
+def test_sample_rule(name, call, values, message):
+    # one rule at every entry point: real, finite, shape (K,) or (B, K) with K >= 1
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        call(values)
+
+
+@pytest.mark.parametrize("name, call", SAMPLE_SITES)
+def test_complex_samples_with_zero_imaginary_part_pass_as_real(name, call):
+    assert call(SAMPLES.astype(complex)).tobytes() == call(SAMPLES).tobytes()
+
+
+@pytest.mark.parametrize("name, call", SAMPLE_SITES[1:4])
+def test_empty_stack_gives_empty_forecast(name, call):
+    assert call(np.zeros((0, 7))).shape == (0, 2)
