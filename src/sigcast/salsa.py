@@ -143,11 +143,15 @@ def soft_threshold(x, threshold):
     valid = (threshold >= 0).all() if isinstance(threshold, np.ndarray) else threshold >= 0
     if not valid:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    arr = np.asarray(x)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # fmax also turns the 0/0 of a zero entry at threshold 0 into scale 0
-        scale = np.fmax(1.0 - threshold / np.abs(arr), 0.0)
-    return scale * arr
+    return _shrink(np.asarray(x), threshold)
+
+
+# the decorator sets and resets the error state once per call, about half the
+# cost of entering a `with np.errstate(...)` block each time
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _shrink(arr, threshold):
+    # fmax also turns the 0/0 of a zero entry at threshold 0 into scale 0
+    return np.fmax(1.0 - threshold / np.abs(arr), 0.0) * arr
 
 
 def _per_row(params, n_rows: int):
@@ -212,35 +216,40 @@ def salsa_solve(
     shared.check_window(k, m_len - k)
     n_basis = shared.n_basis
 
-    # the FFT zero-pads the observed prefix, so the unobserved samples never
-    # enter the iteration; the cost trace counts them as zeros
-    target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+    if track_cost:
+        # the FFT zero-pads the observed prefix, so the unobserved samples
+        # never enter the iteration; the cost trace counts them as zeros. Its
+        # l1 term counts bins 1..N-1-N//2 twice, for their mirrors.
+        target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+        l1_weight = np.where(np.arange(n_basis // 2 + 1) < n_basis - n_basis // 2, 2.0, 1.0)
+        l1_weight[0] = 1.0
+        lam = _column([p.lam for p in rows], y.shape[:-1])
     y = y[..., :k]
 
-    # bins 0..N//2 of each Hermitian iterate; the l1 term counts bins
-    # 1..N-1-N//2 twice, for their mirrors. The transforms call the pocketfft
-    # kernels that numpy's rfft(x, n=N) and irfft(u, N) end in, with the same
-    # norm factors (1, and the double 1/N) and outputs allocated once: the
-    # same bits without the wrapper's argument handling on every call.
+    # bins 0..N//2 of each Hermitian iterate. The transforms call the
+    # pocketfft kernels that numpy's rfft(x, n=N) and irfft(u, N) end in, with
+    # outputs allocated once: the same bits without the wrapper's argument
+    # handling on every call. The inverse takes irfft's norm factor 1/N; the
+    # forward one takes each row's step in place of a product on its output.
+    # pocketfft multiplies every real and imaginary part by it, which can
+    # differ from numpy's complex-by-real product only in the sign of a zero
+    # part, and the tests pin that c and the cost trace keep the product's bits.
     forward = _pocketfft.rfft_n_odd if n_basis % 2 else _pocketfft.rfft_n_even
     spectrum = np.empty(y.shape[:-1] + (n_basis // 2 + 1,), dtype=complex)
     signal = np.empty(y.shape[:-1] + (n_basis,))
+    head = signal[..., :k]  # the observed samples of each inverse transform
     c = forward(y, 1, out=np.empty_like(spectrum))
     d = np.zeros_like(c)
-    l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
-    l1_weight[0] = 1.0
-    # per row: threshold and step are columns against the (..., N//2+1)
-    # iterates, lam has the cost trace's row shape
-    column = y.shape[:-1] + (1,)
-    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], column)
-    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], column)
-    lam = _column([p.lam for p in rows], y.shape[:-1])
+    # per row: the threshold is a column against the (..., N//2+1) iterates,
+    # the step one value per row, as the forward kernel broadcasts it
+    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], y.shape[:-1] + (1,))
+    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
 
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
         _pocketfft.irfft(u, 1 / n_basis, out=signal)
-        d = step * forward(y - n_basis * signal[..., :k], 1, out=spectrum)
+        d = forward(y - n_basis * head, step, out=spectrum)
         c = d + u
         if track_cost:
             _pocketfft.irfft(c, 1 / n_basis, out=signal)

@@ -44,7 +44,11 @@ def check_samples(name: str, values) -> np.ndarray:
         if np.any(vals.imag != 0):
             raise ValueError(f"{name} must be real")
         vals = vals.real
-    vals = np.asarray(vals, dtype=float)
+    try:
+        vals = np.asarray(vals, dtype=float)
+    except (TypeError, ValueError):
+        # an object array holding a complex number, or strings
+        raise ValueError(f"{name} must be real") from None
     if vals.ndim not in (1, 2) or vals.shape[-1] < 1:
         raise ValueError(f"{name} must have shape (K,) or (B, K) with K >= 1, got {vals.shape}")
     if not np.all(np.isfinite(vals)):

@@ -46,6 +46,13 @@ def test_salsa_loop_calls_pocketfft_kernels():
     assert '"numpy>=2.0"' in pyproject.read_text()
 
 
+def test_salsa_loop_folds_step_into_forward_kernel():
+    # the step is the forward kernel's norm factor, not a product on its output,
+    # and the shrink's error state is set by a decorator, not a `with` block
+    assert "step *" not in inspect.getsource(sigcast.salsa.salsa_solve)
+    assert "with np.errstate" not in inspect.getsource(sigcast.salsa.soft_threshold)
+
+
 def test_outputs_written_with_newline_empty():
     # newline="" keeps "\n" line ends on every platform, where the default writes os.linesep
     sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -277,32 +277,37 @@ def test_prefix_loop_matches_float_mask_loop(
     assert np.array_equal(cost, cost_float)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    rows=st.sampled_from([None, 1, 3]),
-    m_len=st.integers(1, 30),
-    extra_basis=st.integers(0, 21),
-    n_iter=st.integers(1, 40),
-    track_cost=st.booleans(),
-)
-def test_half_spectrum_solve_matches_complex_loop(
-    data, rows, m_len, extra_basis, n_iter, track_cost
-):
+@st.composite
+def solve_inputs(draw):
+    """(masked, mask, params) for a lone row or a stack of 1 or 3 rows,
+    with one SalsaParams for every row or, on a stack, one per row."""
+    rows = draw(st.sampled_from([None, 1, 3]))
+    m_len = draw(st.integers(1, 30))
     # extra_basis 0 gives N == M, and its parity and m_len's give odd and even N
+    n_basis = m_len + draw(st.integers(0, 21))
+    n_iter = draw(st.integers(1, 40))
     shape = () if rows is None else (rows,)
-    masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
-    mask = ObservationMask.prefix(data.draw(st.integers(1, m_len)), m_len)
+    masked = draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
+    mask = ObservationMask.prefix(draw(st.integers(1, m_len)), m_len)
 
     def draw_params():
-        return SalsaParams(mu=data.draw(st.floats(0.05, 5.0)), lam=data.draw(st.floats(0.0, 5.0)),
-                           n_basis=m_len + extra_basis, n_iter=n_iter)
+        return SalsaParams(mu=draw(st.floats(0.05, 5.0)), lam=draw(st.floats(0.0, 5.0)),
+                           n_basis=n_basis, n_iter=n_iter)
 
-    per_row = rows is not None and data.draw(st.booleans())
-    params = [draw_params() for _ in range(rows)] if per_row else draw_params()
+    per_row = rows is not None and draw(st.booleans())
+    return masked, mask, [draw_params() for _ in range(rows)] if per_row else draw_params()
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=solve_inputs(), track_cost=st.booleans())
+def test_half_spectrum_solve_matches_complex_loop(inputs, track_cost):
+    masked, mask, params = inputs
     state = salsa_solve(masked, mask, params, track_cost)
     c, cost = complex_prefix_solve(masked, mask, params, track_cost)
-    assert state.cost_history.shape == cost.shape == shape + ((n_iter,) if track_cost else (0,))
+    n_iter = _per_row(params, masked[..., 0].size)[0].n_iter
+    assert state.cost_history.shape == cost.shape == (
+        masked.shape[:-1] + ((n_iter,) if track_cost else (0,))
+    )
     # rtol 1e-9, with a floor of 1e-9 times the row's squared observed data
     # norm, the cost of c = 0, for costs that a small lam lets fall near 0
     scale = np.sum(masked[..., : mask.n_observed] ** 2, axis=-1, keepdims=True)
@@ -313,29 +318,22 @@ def test_half_spectrum_solve_matches_complex_loop(
     assert np.all(err <= 1e-9 * ref)
 
 
+# the kernel's norm factor and numpy's complex-by-real product could differ
+# only in the sign of a zero: all 0.0 and all -0.0 rows, and a constant stack
+# with one params per row, whose transform is zero off bin 0
 @settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    rows=st.sampled_from([None, 1, 3]),
-    m_len=st.integers(1, 30),
-    extra_basis=st.integers(0, 21),
-    n_iter=st.integers(1, 40),
-    track_cost=st.booleans(),
-)
-def test_kernel_solve_matches_np_fft_loop_bitwise(
-    data, rows, m_len, extra_basis, n_iter, track_cost
-):
-    # extra_basis 0 gives N == M, and its parity and m_len's give odd and even N
-    shape = () if rows is None else (rows,)
-    masked = data.draw(arrays(np.float64, shape + (m_len,), elements=st.floats(-1e3, 1e3)))
-    mask = ObservationMask.prefix(data.draw(st.integers(1, m_len)), m_len)
-
-    def draw_params():
-        return SalsaParams(mu=data.draw(st.floats(0.05, 5.0)), lam=data.draw(st.floats(0.0, 5.0)),
-                           n_basis=m_len + extra_basis, n_iter=n_iter)
-
-    per_row = rows is not None and data.draw(st.booleans())
-    params = [draw_params() for _ in range(rows)] if per_row else draw_params()
+@given(inputs=solve_inputs(), track_cost=st.booleans())
+@example(inputs=(np.zeros(12), ObservationMask(9, 12), SalsaParams(n_basis=16, n_iter=30)),
+         track_cost=True)
+@example(inputs=(np.full((1, 12), -0.0), ObservationMask(12, 12),
+                 SalsaParams(lam=0.0, n_basis=17, n_iter=30)),
+         track_cost=False)
+@example(inputs=(np.full((3, 12), 2.5), ObservationMask(9, 12),
+                 [SalsaParams(mu=mu, lam=lam, n_basis=20, n_iter=30)
+                  for mu, lam in [(0.1, 0.0), (0.6, 1.0), (2.0, 5.0)]]),
+         track_cost=True)
+def test_kernel_solve_matches_np_fft_loop_bitwise(inputs, track_cost):
+    masked, mask, params = inputs
     state = salsa_solve(masked, mask, params, track_cost)
     c, cost = _reference_rfft_solve(masked, mask, params, track_cost)
     assert np.array_equal(bits(state.c), bits(c))
@@ -427,13 +425,18 @@ class TestSalsaSolve:
         calls = []
 
         def counting(x, threshold):
-            calls.append(x.shape)
+            calls.append(threshold)
             return soft_threshold(x, threshold)
 
         monkeypatch.setattr(sigcast.salsa, "soft_threshold", counting)
         history = np.random.default_rng(6).normal(size=(3, 40))
         salsa_forecast(history, 5, SalsaParams(n_basis=64, n_iter=7))
         assert len(calls) == 7
+        # one params per row, as the sweep passes: an ndarray threshold column
+        salsa_forecast(history, 5, [SalsaParams(mu=mu, n_basis=64, n_iter=7)
+                                    for mu in (0.3, 0.6, 1.2)])
+        assert len(calls) == 14
+        assert all(isinstance(t, np.ndarray) and t.shape == (3, 1) for t in calls[7:])
 
     def test_track_cost_off_gives_same_iterates(self):
         params = SalsaParams(n_basis=64, n_iter=40)

@@ -282,6 +282,8 @@ BAD_SAMPLES = [
     pytest.param(_with(2, -np.inf), "must be finite", id="-inf"),
     pytest.param(_with(2, None, object), "must be finite", id="None"),
     pytest.param(_with(6, SAMPLES[6] + 1e-300j, complex), "must be real", id="1e-300j"),
+    pytest.param(_with(3, 1 + 1j, object), "must be real", id="object-1+1j"),
+    pytest.param(np.array(["a", "b", "c"]), "must be real", id="strings"),
 ]
 
 
