@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import Window, check_count, check_samples
+from .series import Window, check_count, check_real, check_samples
 
 __all__ = [
     "CausalParams",
@@ -64,6 +64,8 @@ class CausalParams:
     ma_width: int = 5
 
     def __post_init__(self):
+        check_real("omega", self.omega)
+        check_real("nu", self.nu)
         if not 0 < self.omega <= math.pi:
             raise ValueError(f"omega must lie in (0, pi], got {self.omega}")
         if not 0 < self.nu < math.inf:
@@ -194,6 +196,7 @@ def regularized_solve(gram, nu: float, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {gram.shape}")
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in linear system")
+    check_real("nu", nu)
     if not 0 < nu < math.inf:
         raise ValueError(f"nu must be positive and finite, got {nu}")
     system = gram + nu * np.eye(gram.shape[0])

@@ -10,6 +10,7 @@ simulate    generate one synthetic AR path as CSV
 
 Exit codes: 0 ok, 1 validation error or failed forecast, 2 I/O error.
 Randomized commands print the seed they used so results can be reproduced.
+Every option default that the library also has is read from the library.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from .series import check_count
 
 __all__ = ["main"]
 
-_SALSA = SalsaParams()
-_CAUSAL = CausalParams()
-_LINEAR = LinearParams()
-
 # report format -> file extension
 FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
 
@@ -75,62 +72,65 @@ def _parse_grid_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-def _add_io_options(sub):
-    sub.add_argument("--input", required=True, help="input CSV path")
-    sub.add_argument(
-        "--column", default="1",
-        help="1-based column index or header name of the value column",
-    )
-    sub.add_argument("--skip-header", action="store_true", help="skip the first row")
-    sub.add_argument(
-        "--missing-policy", choices=MISSING_POLICIES, default="drop",
-        help="how to treat missing cells",
-    )
+def _add_command(subs, name, func, help):
+    """A subcommand with the options every command shares."""
+    sub = subs.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub.add_argument("--output-dir", default=".", help="directory for output files")
+    sub.set_defaults(func=func)
+    return sub
+
+
+def _add_series_options(sub):
+    """Input, window and method options of the commands that forecast a CSV column."""
+    sub.add_argument("--input", required=True, help="input CSV path")
+    sub.add_argument("--column", default=CsvSpec.column,
+                     help="1-based column index or header name of the value column")
+    sub.add_argument("--skip-header", action="store_true", help="skip the first row")
+    sub.add_argument("--missing-policy", choices=MISSING_POLICIES,
+                     default=CsvSpec.missing_policy, help="how to treat missing cells")
     sub.add_argument("--format", choices=FORMATS, default="text", help="report format")
-
-
-def _add_method_options(sub):
-    sub.add_argument("--mu", type=float, default=_SALSA.mu, help="SALSA penalty parameter")
-    sub.add_argument(
-        "--lambda", dest="lam", type=float, default=_SALSA.lam,
-        help="SALSA l1 regularization weight",
-    )
-    sub.add_argument("--n-basis", type=int, default=_SALSA.n_basis, help="SALSA dictionary length")
-    sub.add_argument("--n-iter", type=int, default=_SALSA.n_iter, help="SALSA iteration count")
-    sub.add_argument("--omega", type=float, default=_CAUSAL.omega, help="causal band limit")
-    sub.add_argument("--nu", type=float, default=_CAUSAL.nu, help="causal Tikhonov regularizer")
-    sub.add_argument(
-        "--n-harmonics", type=int, default=_CAUSAL.n_harmonics,
-        help="causal harmonic count N (window must be 2N+1)",
-    )
-    sub.add_argument(
-        "--ma-width", type=int, default=_CAUSAL.ma_width,
-        help="causal moving-average width (odd)",
-    )
-    sub.add_argument("--lookback", type=int, default=_LINEAR.lookback, help="linear lookback A")
-    sub.add_argument(
-        "--linear-variant", choices=VARIANTS, default=_LINEAR.variant,
-        help="linear extrapolation variant",
-    )
+    sub.add_argument("--window", type=int, default=ExperimentConfig.window_len,
+                     help="history length; causal fits N = window // 2 harmonics")
+    sub.add_argument("--mu", type=float, default=SalsaParams.mu, help="SALSA penalty parameter")
+    sub.add_argument("--lambda", dest="lam", type=float, default=SalsaParams.lam,
+                     help="SALSA l1 regularization weight")
+    sub.add_argument("--n-basis", type=int, default=SalsaParams.n_basis,
+                     help="SALSA dictionary length")
+    sub.add_argument("--n-iter", type=int, default=SalsaParams.n_iter,
+                     help="SALSA iteration count")
+    sub.add_argument("--omega", type=float, default=CausalParams.omega, help="causal band limit")
+    sub.add_argument("--nu", type=float, default=CausalParams.nu,
+                     help="causal Tikhonov regularizer")
+    sub.add_argument("--ma-width", type=int, default=CausalParams.ma_width,
+                     help="causal moving-average width (odd)")
+    sub.add_argument("--lookback", type=int, default=LinearParams.lookback,
+                     help="linear lookback A")
+    sub.add_argument("--linear-variant", choices=VARIANTS, default=LinearParams.variant,
+                     help="linear extrapolation variant")
 
 
 def _add_ar_options(sub):
-    sub.add_argument("--a-low", type=float, default=0.0, help="AR coefficient lower bound")
-    sub.add_argument("--a-high", type=float, default=1.0, help="AR coefficient upper bound")
-    sub.add_argument("--noise-std", type=float, default=1.0, help="noise standard deviation")
-    sub.add_argument("--offset", type=float, default=80.0, help="level shift added to paths")
+    """AR path options, with the seed of the path or of the sweep."""
+    sub.add_argument("--a-low", type=float, default=SimParams.a_low,
+                     help="AR coefficient lower bound")
+    sub.add_argument("--a-high", type=float, default=SimParams.a_high,
+                     help="AR coefficient upper bound")
+    sub.add_argument("--noise-std", type=float, default=SimParams.noise_std,
+                     help="noise standard deviation")
+    sub.add_argument("--offset", type=float, default=SimParams.offset,
+                     help="level shift added to paths")
+    sub.add_argument("--seed", type=int,
+                     help="RNG seed, the sweep's master seed (printed if omitted)")
 
 
-def _sim_params(args, length: int, seed: int) -> SimParams:
-    return SimParams(
-        length=length,
-        a_low=args.a_low,
-        a_high=args.a_high,
-        noise_std=args.noise_std,
-        offset=args.offset,
-        seed=seed,
-    )
+def _sim_params(args, length: int) -> SimParams:
+    """The AR options as SimParams; a seed is drawn and printed if --seed is omitted."""
+    seed = args.seed
+    if seed is None:
+        seed = secrets.randbits(32)
+        print(f"seed: {seed}", file=sys.stderr)
+    return SimParams(length=length, a_low=args.a_low, a_high=args.a_high,
+                     noise_std=args.noise_std, offset=args.offset, seed=seed)
 
 
 def _read_series(args, last=None):
@@ -149,8 +149,10 @@ def _method_params(args, methods) -> dict:
     build = {
         "salsa": lambda: SalsaParams(mu=args.mu, lam=args.lam, n_basis=args.n_basis,
                                      n_iter=args.n_iter),
+        # the window is the causal fit's 2N+1 samples; an even one gets causal's window error
         "causal": lambda: CausalParams(omega=args.omega, nu=args.nu,
-                                       n_harmonics=args.n_harmonics, ma_width=args.ma_width),
+                                       n_harmonics=max(args.window // 2, 1),
+                                       ma_width=args.ma_width),
         "linear": lambda: LinearParams(lookback=args.lookback, variant=args.linear_variant),
     }
     return {method: make() for method, make in build.items() if method in methods}
@@ -160,14 +162,6 @@ def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(32)
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
 
 
 def cmd_forecast(args) -> int:
@@ -234,7 +228,7 @@ def cmd_sweep(args) -> int:
         horizon=args.horizon,
         window=args.window,
     )
-    sim = _sim_params(args, grid.window + grid.horizon, _resolve_seed(args))
+    sim = _sim_params(args, grid.window + grid.horizon)
     out = _out_dir(args)
     csv_path, json_path = out / "sweep.csv", out / "sweep.json"
 
@@ -260,7 +254,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    series = generate_path(_sim_params(args, args.length, _resolve_seed(args)))
+    series = generate_path(_sim_params(args, args.length))
     out = _out_dir(args)
     write_csv(series, out / "series.csv")
     return 0
@@ -278,59 +272,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fc = subs.add_parser(
-        "forecast", help="forecast the next points of a series with one method",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_io_options(fc)
-    _add_method_options(fc)
+    fc = _add_command(subs, "forecast", cmd_forecast,
+                      "forecast the next points of a series with one method")
+    _add_series_options(fc)
     fc.add_argument("--method", choices=METHOD_ORDER, required=True)
-    fc.add_argument("--window", type=int, default=91, help="history length used")
     fc.add_argument("--horizon", type=int, default=10, help="number of points to forecast")
-    fc.set_defaults(func=cmd_forecast)
 
-    ex = subs.add_parser(
-        "experiment", help="rolling-window method comparison with report tables",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_io_options(ex)
-    _add_method_options(ex)
+    ex = _add_command(subs, "experiment", cmd_experiment,
+                      "rolling-window method comparison with report tables")
+    _add_series_options(ex)
     ex.add_argument("--methods", default=",".join(METHOD_ORDER), help="comma list of methods")
-    ex.add_argument("--window", type=int, default=91, help="history window length")
     ex.add_argument("--horizon", type=int, required=True, help="forecast length per window")
-    ex.add_argument("--stride", type=int, default=None, help="window step (default: horizon)")
+    ex.add_argument("--stride", type=int, help="window step (default: horizon)")
     ex.add_argument(
         "--lookahead-smoothing", action="store_true",
         help="smooth the whole series once (lookahead) instead of per window",
     )
-    ex.set_defaults(func=cmd_experiment)
 
-    sw = subs.add_parser(
-        "sweep", help="Monte Carlo grid sweep of the SALSA hyperparameters",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    sw.add_argument("--output-dir", default=".", help="directory for output files")
+    sw = _add_command(subs, "sweep", cmd_sweep,
+                      "Monte Carlo grid sweep of the SALSA hyperparameters")
     sw.add_argument("--mu-values", default="0.1:2.0:0.1", help="comma list or start:stop:step")
     sw.add_argument("--lambda-values", default="1", help="comma list or start:stop:step")
     sw.add_argument("--n-basis-values", default="200", help="comma list or start:stop:step")
     sw.add_argument("--trials", type=int, default=1000, help="paths per grid cell")
-    sw.add_argument("--horizon", type=int, default=7, help="forecast length per trial")
-    sw.add_argument("--window", type=int, default=91, help="history length per trial")
+    sw.add_argument("--horizon", type=int, default=SweepGrid.horizon,
+                    help="forecast length per trial")
+    sw.add_argument("--window", type=int, default=SweepGrid.window,
+                    help="history length per trial")
     _add_ar_options(sw)
-    sw.add_argument("--seed", type=int, default=None, help="master seed (printed if omitted)")
     sw.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
     sw.add_argument("--resume", action="store_true", help="continue a partial sweep.json")
-    sw.set_defaults(func=cmd_sweep)
 
-    sim = subs.add_parser(
-        "simulate", help="generate a synthetic AR path as CSV",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    sim.add_argument("--output-dir", default=".", help="directory for output files")
+    sim = _add_command(subs, "simulate", cmd_simulate, "generate a synthetic AR path as CSV")
     sim.add_argument("--length", type=int, required=True, help="number of samples")
     _add_ar_options(sim)
-    sim.add_argument("--seed", type=int, default=None, help="RNG seed (printed if omitted)")
-    sim.set_defaults(func=cmd_simulate)
 
     return parser
 

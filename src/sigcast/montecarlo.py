@@ -25,7 +25,7 @@ import numpy as np
 
 from .ingest import csv_text
 from .salsa import SalsaParams, salsa_forecast
-from .series import TimeSeries, check_count
+from .series import TimeSeries, check_count, check_real
 
 __all__ = [
     "SimParams",
@@ -57,6 +57,8 @@ class SimParams:
 
     def __post_init__(self):
         check_count("length", self.length, low=2)
+        for name in ("a_low", "a_high", "noise_std", "offset"):
+            check_real(name, getattr(self, name))
         if self.a_low > self.a_high:
             raise ValueError(f"a_low {self.a_low} exceeds a_high {self.a_high}")
         if not math.isfinite(self.a_high - self.a_low):
@@ -103,16 +105,19 @@ class SweepGrid:
     window: int = 91
 
     def __post_init__(self):
-        # values compared as floats, so 200 and 200.0 repeat
-        for name in ("mu_values", "lambda_values", "n_basis_values"):
+        # each value is checked as the SalsaParams field it sets, then compared as
+        # a float, so 1 and 1.0 repeat
+        for name, field, check in (("mu_values", "mu", check_real),
+                                   ("lambda_values", "lam", check_real),
+                                   ("n_basis_values", "n_basis", check_count)):
             vals = tuple(getattr(self, name))
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            for value in vals:
+                check(field, value)
             if len(set(map(float, vals))) != len(vals):
                 raise ValueError(f"{name} repeats a value: {vals}")
             object.__setattr__(self, name, vals)
-        for n_basis in self.n_basis_values:
-            check_count("n_basis", n_basis)
         for name in ("trials", "horizon", "window"):
             check_count(name, getattr(self, name))
         for mu, lam, n_basis in self.cells():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .series import check_count, check_samples
+from .series import check_count, check_real, check_samples
 
 __all__ = [
     "SalsaParams",
@@ -58,6 +58,8 @@ class SalsaParams:
     cost_tol: None = field(default=None, init=False)
 
     def __post_init__(self):
+        check_real("mu", self.mu)
+        check_real("lam", self.lam)
         if not 0 < self.mu < np.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 <= self.lam < np.inf:

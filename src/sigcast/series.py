@@ -7,6 +7,7 @@ scores forecasts with :func:`l2_residual`.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -25,8 +26,10 @@ __all__ = [
 
 def check_count(name: str, value, low: int = 1) -> None:
     """The one count rule: raise ValueError unless `value` is an integer
-    (Python or numpy, never a float) of at least `low`."""
+    (Python or numpy, never a float or a bool) of at least `low`."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -34,12 +37,26 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """The one scalar rule: raise ValueError unless `value` is one real
+    number (a Python or numpy integer or float, never a bool, a string, a
+    complex number or an array). Range checks are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_samples(name: str, values) -> np.ndarray:
     """The one sample rule: `values` as a float64 array of shape (K,) or
     (B, K) with K >= 1, every value finite and real (a complex array passes
-    as its real part when every imaginary part is zero); ValueError naming
-    `name` otherwise. A float64 array is returned as it is, not copied."""
+    as its real part when every imaginary part is zero, and strings or bytes
+    never pass); ValueError naming `name` otherwise. A float64 array is
+    returned as it is, not copied."""
     vals = np.asarray(values)
+    # numpy would parse numeric strings and bytes as numbers
+    if vals.dtype.kind in "US" or (
+        vals.dtype == object and any(isinstance(v, (str, bytes)) for v in vals.flat)
+    ):
+        raise ValueError(f"{name} must be real")
     if np.iscomplexobj(vals):
         if np.any(vals.imag != 0):
             raise ValueError(f"{name} must be real")
@@ -47,7 +64,7 @@ def check_samples(name: str, values) -> np.ndarray:
     try:
         vals = np.asarray(vals, dtype=float)
     except (TypeError, ValueError):
-        # an object array holding a complex number, or strings
+        # an object array holding a complex number
         raise ValueError(f"{name} must be real") from None
     if vals.ndim not in (1, 2) or vals.shape[-1] < 1:
         raise ValueError(f"{name} must have shape (K,) or (B, K) with K >= 1, got {vals.shape}")

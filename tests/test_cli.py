@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,12 +16,13 @@ from hypothesis import strategies as st
 import sigcast.cli
 import sigcast.harness
 from sigcast import ingest
-from sigcast.baselines import linear_forecast
-from sigcast.causal import causal_forecast
-from sigcast.cli import build_parser, main
+from sigcast.baselines import LinearParams, linear_forecast
+from sigcast.causal import CausalParams, causal_forecast
+from sigcast.cli import _method_params, _sim_params, build_parser, main
+from sigcast.harness import METHOD_ORDER, ExperimentConfig
 from sigcast.ingest import CsvSpec, read_csv_column, write_csv
-from sigcast.montecarlo import SimParams, generate_path
-from sigcast.salsa import salsa_forecast, synthesize
+from sigcast.montecarlo import SimParams, SweepGrid, generate_path
+from sigcast.salsa import SalsaParams, salsa_forecast, synthesize
 
 
 def run(*argv):
@@ -79,6 +83,26 @@ class TestForecast:
         assert [float(r[1]) for r in rows[1:]] == [6.5] * 4
         meta = strict_json((out / "forecast_params.json").read_text())
         assert meta["method"] == "linear"
+
+    def test_causal_takes_its_harmonic_count_from_the_window(self, tmp_path):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, generate_path(SimParams(length=120, seed=4)).values)
+        out = tmp_path / "out"
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "causal",
+                   "--window", "61", "--output-dir", str(out)) == 0
+        meta = strict_json((out / "forecast_params.json").read_text())
+        assert (meta["window"], meta["params"]["n_harmonics"]) == (61, 30)
+
+    @pytest.mark.parametrize("command", [
+        ("forecast", "--method", "causal"),
+        ("experiment", "--methods", "causal", "--horizon", "7"),
+    ], ids=["forecast", "experiment"])
+    @pytest.mark.parametrize("window, usable", [("90", 91), ("1", 3)])
+    def test_causal_window_not_2N_plus_1(self, tmp_path, capsys, command, window, usable):
+        assert run(*command, "--input", str(tmp_path / "input.csv"), "--window", window,
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert (f"causal needs a window of 2*n_harmonics+1 = {usable}; got window {window}"
+                in capsys.readouterr().err)
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("forecast", "--input", str(tmp_path / "nope.csv"),
@@ -182,8 +206,7 @@ class TestForecast:
 
     @pytest.mark.parametrize("options", [
         ["--method", "causal", "--window", "50"],
-        ["--method", "causal", "--window", "3", "--n-harmonics", "1", "--ma-width", "5",
-         "--horizon", "2"],
+        ["--method", "causal", "--window", "3", "--ma-width", "5", "--horizon", "2"],
         ["--method", "salsa", "--window", "191", "--horizon", "10"],
     ], ids=["causal_not_2N+1", "causal_ma_width_beyond_window", "salsa_beyond_n_basis"])
     def test_window_checked_before_reading(self, tmp_path, capsys, monkeypatch, options):
@@ -287,7 +310,7 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "options",
         [
-            ("--n-harmonics", "10"),
+            ("--window", "90"),
             ("--n-basis", "50"),
             ("--methods", "linear", "--window", "1"),
             ("--methods", "linear", "--window", "3", "--lookback", "3",
@@ -682,6 +705,44 @@ class TestParsing:
         text = capsys.readouterr().out
         for token in ("0.6", "200", "1000", "0.1"):
             assert token in text
+
+    @pytest.mark.parametrize("command", ["forecast", "experiment", "sweep", "simulate"])
+    def test_help_of_every_command(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert [line.split()[0] for line in text.splitlines()
+                if line.lstrip().startswith("--output-dir")] == ["--output-dir"]
+        assert "--n-harmonics" not in text
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        spec = CsvSpec("input.csv")
+        for argv in (["forecast", "--method", "salsa"], ["experiment", "--horizon", "7"]):
+            args = parser.parse_args([*argv, "--input", "input.csv"])
+            assert (args.column, args.skip_header, args.missing_policy) == (
+                spec.column, spec.skip_header, spec.missing_policy)
+            assert args.window == ExperimentConfig(horizon=7).window_len
+            assert _method_params(args, METHOD_ORDER) == {
+                "salsa": SalsaParams(), "causal": CausalParams(), "linear": LinearParams()}
+        sweep = parser.parse_args(["sweep", "--seed", "0"])
+        grid = SweepGrid(mu_values=(0.6,))
+        assert (sweep.window, sweep.horizon) == (grid.window, grid.horizon)
+        for args in (sweep, parser.parse_args(["simulate", "--length", "10", "--seed", "0"])):
+            assert _sim_params(args, 10) == SimParams(length=10)
+
+    def test_module_entry_point(self):
+        src = Path(sigcast.cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "sigcast.cli"]
+        done = subprocess.run([*command, "--help"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0
+        assert "forecast" in done.stdout
+        done = subprocess.run([*command, "frobnicate"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 1
+        assert "invalid choice: 'frobnicate'" in done.stderr
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

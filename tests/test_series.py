@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigcast.baselines import LinearParams, linear_forecast
-from sigcast.causal import CausalParams, causal_forecast, moving_average
+from sigcast.causal import CausalParams, causal_forecast, moving_average, regularized_solve
 from sigcast.cli import cmd_experiment, cmd_forecast, cmd_sweep
 from sigcast.harness import ExperimentConfig
 from sigcast.ingest import CsvSpec, read_csv_column
@@ -238,8 +238,8 @@ COUNT_SITES = [
 
 @pytest.mark.parametrize("name, low, call, valid", COUNT_SITES)
 def test_count_rule(name, low, call, valid):
-    # one rule at every count: an integer of at least `low`, never a float
-    for value in (2.5, 2.0):
+    # one rule at every count: an integer of at least `low`, never a float or a bool
+    for value in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value}")):
             call(value)
     with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {low}, got {low - 1}")):
@@ -284,7 +284,44 @@ BAD_SAMPLES = [
     pytest.param(_with(6, SAMPLES[6] + 1e-300j, complex), "must be real", id="1e-300j"),
     pytest.param(_with(3, 1 + 1j, object), "must be real", id="object-1+1j"),
     pytest.param(np.array(["a", "b", "c"]), "must be real", id="strings"),
+    pytest.param(np.array(["1.5", "2.5", "3.5"]), "must be real", id="numeric-strings"),
+    pytest.param(np.array([b"1", b"2"]), "must be real", id="numeric-bytes"),
+    pytest.param(_with(2, "2.5", object), "must be real", id="object-numeric-string"),
 ]
+
+
+# (name, call, valid): call(value) reaches the scalar check of `name`; `valid` is a
+# value the site accepts
+REAL_SITES = [
+    pytest.param("mu", lambda v: SalsaParams(mu=v), np.float64(0.6), id="SalsaParams.mu"),
+    pytest.param("lam", lambda v: SalsaParams(lam=v), 1, id="SalsaParams.lam"),
+    pytest.param("omega", lambda v: CausalParams(omega=v), np.float64(1.0),
+                 id="CausalParams.omega"),
+    pytest.param("nu", lambda v: CausalParams(nu=v), np.float32(0.1), id="CausalParams.nu"),
+    pytest.param("nu", lambda v: regularized_solve(np.eye(3), v, np.ones(3)), 0.1,
+                 id="regularized_solve.nu"),
+    pytest.param("a_low", lambda v: SimParams(length=10, a_low=v), np.float64(0.0),
+                 id="SimParams.a_low"),
+    pytest.param("a_high", lambda v: SimParams(length=10, a_high=v), 1, id="SimParams.a_high"),
+    pytest.param("noise_std", lambda v: SimParams(length=10, noise_std=v), np.int64(2),
+                 id="SimParams.noise_std"),
+    pytest.param("offset", lambda v: SimParams(length=10, offset=v), -3.5,
+                 id="SimParams.offset"),
+    pytest.param("mu", lambda v: _grid(mu_values=(0.6, v)), np.float64(0.5),
+                 id="SweepGrid.mu_values"),
+    pytest.param("lam", lambda v: _grid(lambda_values=(v,)), 2, id="SweepGrid.lambda_values"),
+]
+
+
+@pytest.mark.parametrize("name, call, valid", REAL_SITES)
+def test_real_rule(name, call, valid):
+    # one rule at every scalar parameter: one real number, never a bool, a string,
+    # a complex number or an array
+    for value in (True, np.True_, "0.6", b"1", None, 1j, np.array([0.1, 0.2])):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be a real number, got {value!r}")):
+            call(value)
+    call(valid)
 
 
 @pytest.mark.parametrize("values, message", BAD_SAMPLES)
