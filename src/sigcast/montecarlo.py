@@ -204,8 +204,19 @@ def _not_json(name):
 
 
 def _run(grid: SweepGrid, sim: SimParams) -> dict:
-    """The record's "run": every field of the grid and of the AR settings."""
-    return {**asdict(grid), **asdict(sim)}
+    """The record's "run": every field of the grid and of the AR settings.
+
+    Numpy numbers, which the fields accept, become the Python numbers that
+    JSON writes, so `to_json` can write the record and `from_json` compares
+    the numbers it reads back.
+    """
+    def number(value):
+        return value.item() if isinstance(value, np.generic) else value
+
+    return {
+        name: [number(v) for v in value] if isinstance(value, tuple) else number(value)
+        for name, value in {**asdict(grid), **asdict(sim)}.items()
+    }
 
 
 # Rows per stacked SALSA call, at most. Stacking pays off quickly: at N = 200

@@ -134,6 +134,9 @@ def adjoint(y, n_basis: int) -> np.ndarray:
     return np.fft.fft(y, n=n_basis)
 
 
+# the decorator sets and resets the error state once per call, about half the
+# cost of entering a `with np.errstate(...)` block each time
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def soft_threshold(x, threshold):
     """Complex soft-threshold max(1 - T/|x|, 0) * x, elementwise.
 
@@ -145,13 +148,7 @@ def soft_threshold(x, threshold):
     valid = (threshold >= 0).all() if isinstance(threshold, np.ndarray) else threshold >= 0
     if not valid:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    return _shrink(np.asarray(x), threshold)
-
-
-# the decorator sets and resets the error state once per call, about half the
-# cost of entering a `with np.errstate(...)` block each time
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _shrink(arr, threshold):
+    arr = np.asarray(x)
     # fmax also turns the 0/0 of a zero entry at threshold 0 into scale 0
     return np.fmax(1.0 - threshold / np.abs(arr), 0.0) * arr
 
@@ -237,28 +234,50 @@ def salsa_solve(
     # differ from numpy's complex-by-real product only in the sign of a zero
     # part, and the tests pin that c and the cost trace keep the product's bits.
     forward = _pocketfft.rfft_n_odd if n_basis % 2 else _pocketfft.rfft_n_even
-    spectrum = np.empty(y.shape[:-1] + (n_basis // 2 + 1,), dtype=complex)
+    half = y.shape[:-1] + (n_basis // 2 + 1,)
     signal = np.empty(y.shape[:-1] + (n_basis,))
     head = signal[..., :k]  # the observed samples of each inverse transform
-    c = forward(y, 1, out=np.empty_like(spectrum))
+    c = forward(y, 1, out=np.empty(half, dtype=complex))
     d = np.zeros_like(c)
+    # work buffers, overwritten every iteration: t = c + d, the magnitude |t|
+    # that becomes the shrink's scale, u, and the residual y - N * head; the
+    # forward kernel writes each new d over the last, which u has consumed
+    t, u, scale, residual = np.empty_like(c), np.empty_like(c), np.empty(half), np.empty_like(y)
     # per row: the threshold is a column against the (..., N//2+1) iterates,
-    # the step one value per row, as the forward kernel broadcasts it
+    # the step one value per row, as the forward kernel broadcasts it.
+    # SalsaParams holds mu > 0 and lam >= 0, so every threshold is
+    # nonnegative by construction and the loop shrinks without
+    # soft_threshold's check.
     thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], y.shape[:-1] + (1,))
     step = _column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
+    inv_n = 1 / n_basis
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
 
-    for i in range(shared.n_iter):
-        u = soft_threshold(c + d, thresh) - d
-        _pocketfft.irfft(u, 1 / n_basis, out=signal)
-        d = forward(y - n_basis * head, step, out=spectrum)
-        c = d + u
-        if track_cost:
-            _pocketfft.irfft(c, 1 / n_basis, out=signal)
-            residual = target - n_basis * signal[..., :m_len]
-            cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
-                l1_weight * np.abs(c), axis=-1
-            )
+    # one error state for the whole solve: the shrink divides by |t|, which is
+    # 0 in some bins (T/0, or 0/0 at lam = 0) or subnormal (T/|t| overflows),
+    # and fmax clamps the -inf or NaN of 1 - T/|t| to scale 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(shared.n_iter):
+            # u <- soft_threshold(c + d, thresh) - d, with soft_threshold's
+            # ufuncs in its order, so the same bits
+            np.add(c, d, out=t)
+            np.abs(t, out=scale)
+            np.divide(thresh, scale, out=scale)
+            np.subtract(1.0, scale, out=scale)
+            np.fmax(scale, 0.0, out=scale)
+            np.multiply(scale, t, out=u)
+            np.subtract(u, d, out=u)
+            _pocketfft.irfft(u, inv_n, out=signal)
+            np.multiply(n_basis, head, out=residual)
+            np.subtract(y, residual, out=residual)
+            forward(residual, step, out=d)
+            np.add(d, u, out=c)
+            if track_cost:
+                _pocketfft.irfft(c, inv_n, out=signal)
+                error = target - n_basis * signal[..., :m_len]
+                cost[..., i] = np.sum(error**2, axis=-1) + lam * np.sum(
+                    l1_weight * np.abs(c), axis=-1
+                )
 
     # the full spectrum: bins N//2+1..N-1 conjugate bins N-1-N//2..1
     c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)

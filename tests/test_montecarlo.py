@@ -349,6 +349,22 @@ class TestSweepTable:
         assert back == table
         assert back.to_json(grid, sim) == text
 
+    @pytest.mark.parametrize("grid_fields, sim_fields", [
+        ({"n_basis_values": (np.int64(200),)}, {}),
+        ({"mu_values": (np.float32(0.6),)}, {}),
+        ({}, {"seed": np.int64(3)}),
+    ], ids=["n_basis_int64", "mu_float32", "seed_int64"])
+    def test_json_round_trip_of_numpy_numbers(self, grid_fields, sim_fields):
+        # the record's run holds the Python numbers that JSON writes
+        grid = SweepGrid(**{"mu_values": (0.5,), **FAST_GRID, **grid_fields})
+        sim = SimParams(**{"length": 43, "seed": 11, **sim_fields})
+        table = run_sweep(grid, sim)
+        text = table.to_json(grid, sim)
+        assert SweepTable.from_json(text, grid, sim) == table
+        run = strict_json(text)["run"]
+        for name, value in {**grid_fields, **sim_fields}.items():
+            assert run[name] == np.asarray(value).tolist()
+
     def test_csv_header(self):
         table = SweepTable(rows=[])
         assert table.to_csv().splitlines()[0] == "mu,lambda,n_basis,mean_residual_per_point,trials_run"

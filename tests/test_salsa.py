@@ -238,6 +238,46 @@ def _reference_rfft_solve(masked, mask, params, track_cost=True):
     return c, cost
 
 
+def _allocating_solve(masked, mask, params, track_cost=True):
+    """The half-spectrum SALSA loop on the pocketfft kernels, allocating every step.
+
+    This is salsa_solve as it was before its loop wrote into work buffers:
+    each iteration calls soft_threshold, with its check, and allocates the
+    update's temporaries. Returns (c, cost_history) with c the full spectrum.
+    """
+    kernels = sigcast.salsa._pocketfft
+    y = np.asarray(masked, dtype=float)
+    k, m_len = mask.n_observed, mask.total_len
+    shared, rows = _per_row(params, y[..., 0].size)
+    n_basis = shared.n_basis
+    target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+    y = y[..., :k]
+    forward = kernels.rfft_n_odd if n_basis % 2 else kernels.rfft_n_even
+    spectrum = np.empty(y.shape[:-1] + (n_basis // 2 + 1,), dtype=complex)
+    signal = np.empty(y.shape[:-1] + (n_basis,))
+    c = forward(y, 1, out=np.empty_like(spectrum))
+    d = np.zeros_like(c)
+    l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
+    l1_weight[0] = 1.0
+    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], y.shape[:-1] + (1,))
+    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
+    lam = _column([p.lam for p in rows], y.shape[:-1])
+    cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
+    for i in range(shared.n_iter):
+        u = soft_threshold(c + d, thresh) - d
+        kernels.irfft(u, 1 / n_basis, out=signal)
+        d = forward(y - n_basis * signal[..., :k], step, out=spectrum)
+        c = d + u
+        if track_cost:
+            kernels.irfft(c, 1 / n_basis, out=signal)
+            residual = target - n_basis * signal[..., :m_len]
+            cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
+                l1_weight * np.abs(c), axis=-1
+            )
+    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
+    return c, cost
+
+
 def bits(a):
     """The array's bytes as int64, so that -0.0 and 0.0 differ and NaN equals itself."""
     return np.ascontiguousarray(a).view(np.int64)
@@ -340,6 +380,32 @@ def test_kernel_solve_matches_np_fft_loop_bitwise(inputs, track_cost):
     assert np.array_equal(bits(state.cost_history), bits(cost))
 
 
+# the buffered loop runs soft_threshold's ufuncs on the same operands in the
+# same order, so every path of the shrink keeps its bits: 0/0 of the
+# exact-zero bins of a zero row at lam 0, and the divide's overflow on
+# subnormal rows, at odd and even N, stacked with one params per row
+@settings(max_examples=150, deadline=None)
+@given(inputs=solve_inputs(), track_cost=st.booleans())
+@example(inputs=(np.sin(np.arange(36.0)).reshape(3, 12), ObservationMask(9, 12),
+                 [SalsaParams(mu=mu, n_basis=20, n_iter=30) for mu in (0.1, 0.6, 2.0)]),
+         track_cost=True)
+@example(inputs=(np.vstack([np.zeros(12), np.arange(12.0)]), ObservationMask(12, 12),
+                 SalsaParams(lam=0.0, n_basis=17, n_iter=30)),
+         track_cost=False)
+@example(inputs=(np.vstack([np.full(12, 5e-324), np.arange(-6.0, 6.0) * 1e-310]),
+                 ObservationMask(9, 12), SalsaParams(n_basis=17, n_iter=30)),
+         track_cost=True)
+@example(inputs=(np.arange(12.0) * -3e-320, ObservationMask(10, 12),
+                 SalsaParams(lam=2.0, n_basis=16, n_iter=30)),
+         track_cost=False)
+def test_buffered_loop_matches_allocating_loop_bitwise(inputs, track_cost):
+    masked, mask, params = inputs
+    state = salsa_solve(masked, mask, params, track_cost)
+    c, cost = _allocating_solve(masked, mask, params, track_cost)
+    assert np.array_equal(bits(state.c), bits(c))
+    assert np.array_equal(bits(state.cost_history), bits(cost))
+
+
 @pytest.mark.parametrize("n_basis", [1, 2, 7, 8, 199, 200])
 def test_pocketfft_kernels_match_np_fft_bitwise(n_basis):
     # the calls salsa_solve makes, against the np.fft calls they replace
@@ -420,23 +486,41 @@ class TestSalsaSolve:
         with pytest.raises(ValueError, match="masked signal must be real"):
             salsa_solve(masked, ObservationMask.prefix(5, 10), SalsaParams(n_basis=32))
 
-    def test_soft_threshold_called_once_per_iteration(self, monkeypatch):
-        # perfbench's tracer counts iterations by wrapping this module global
-        calls = []
+    def test_loop_never_calls_soft_threshold(self, monkeypatch):
+        # the loop shrinks in its own buffers; soft_threshold is for callers
+        def refuse(x, threshold):
+            raise AssertionError("salsa_solve called soft_threshold")
 
-        def counting(x, threshold):
-            calls.append(threshold)
-            return soft_threshold(x, threshold)
-
-        monkeypatch.setattr(sigcast.salsa, "soft_threshold", counting)
+        monkeypatch.setattr(sigcast.salsa, "soft_threshold", refuse)
         history = np.random.default_rng(6).normal(size=(3, 40))
-        salsa_forecast(history, 5, SalsaParams(n_basis=64, n_iter=7))
-        assert len(calls) == 7
-        # one params per row, as the sweep passes: an ndarray threshold column
+        salsa_forecast(history, 5, SalsaParams(n_basis=64, n_iter=7), track_cost=True)
         salsa_forecast(history, 5, [SalsaParams(mu=mu, n_basis=64, n_iter=7)
                                     for mu in (0.3, 0.6, 1.2)])
-        assert len(calls) == 14
-        assert all(isinstance(t, np.ndarray) and t.shape == (3, 1) for t in calls[7:])
+
+    @pytest.mark.parametrize("track_cost", [False, True])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -2e-310])
+    def test_shrink_paths_are_silent_and_error_state_restored(self, value, track_cost):
+        # zero rows divide 0/0 at lam 0 and T/0 otherwise; subnormal rows overflow
+        mask = ObservationMask.prefix(9, 12)
+        masked = np.full((2, 12), value)
+        params = [SalsaParams(lam=lam, n_basis=16, n_iter=20) for lam in (0.0, 1.0)]
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            salsa_solve(masked, mask, params, track_cost)
+            salsa_solve(masked[0], mask, params[1], track_cost)
+        assert np.geterr() == before
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            raised = np.geterr()
+            salsa_solve(masked, mask, params, track_cost)
+            assert np.geterr() == raised
+        assert np.geterr() == before
+
+    def test_error_state_restored_after_input_error(self):
+        before = np.geterr()
+        with pytest.raises(ValueError, match="must have M = 12"):
+            salsa_solve(np.zeros(11), ObservationMask.prefix(9, 12), SalsaParams(n_basis=16))
+        assert np.geterr() == before
 
     def test_track_cost_off_gives_same_iterates(self):
         params = SalsaParams(n_basis=64, n_iter=40)
