@@ -220,8 +220,8 @@ def _run(grid: SweepGrid, sim: SimParams) -> dict:
 
 
 # Rows per stacked SALSA call, at most. Stacking pays off quickly: at N = 200
-# on a 2-core Xeon a row took about 28 us per iteration alone and 3.0-3.8 us
-# in a stack of 32 to 256 rows, but 4.1-4.5 us at 1,000 rows, whose arrays no
+# on a 2-core Xeon a row took about 5.8 us per iteration alone and 1.5-1.6 us
+# in a stack of 32 to 256 rows, but 1.85 us at 1,000 rows, whose arrays no
 # longer fit the cache.
 BLOCK_ROWS = 256
 

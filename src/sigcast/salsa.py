@@ -170,14 +170,17 @@ def _per_row(params, n_rows: int):
     return shared, rows
 
 
-def _column(values: list, shape: tuple):
-    """The rows' values reshaped to `shape`, or one float when every row shares it.
+def _column(values: list, shape: tuple) -> np.ndarray:
+    """The rows' values as an array of `shape`, or a 0-d one when every row shares it.
 
-    Same bits either way. With a scalar numpy runs each elementwise step as
-    one loop, not one per row: at N = 200 a solve with columns of one shared
-    value took about 9 % longer at 256 rows and 3 % at 1,000.
+    Same bits either way. With the 0-d array numpy runs each elementwise
+    step as one loop, not one per row: at N = 200 a solve with columns of
+    one shared value took about 9 % longer at 256 rows and 3 % at 1,000.
+    An array, unlike a Python number, is not converted again on every call.
     """
-    return values[0] if len(set(values)) == 1 else np.array(values).reshape(shape)
+    if len(set(values)) == 1:
+        return np.array(values[0])
+    return np.array(values).reshape(shape)
 
 
 def salsa_solve(
@@ -250,8 +253,15 @@ def salsa_solve(
     # soft_threshold's check.
     thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], y.shape[:-1] + (1,))
     step = _column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
-    inv_n = 1 / n_basis
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
+    # the loop's constants are 0-d arrays, as thresh and step are when every
+    # row shares them: numpy converts a Python number again on every call,
+    # and computes in float64 with either, so the bits are the same. The
+    # ufuncs and kernels are local names and take their outputs
+    # positionally, which numpy parses faster than out=.
+    one, zero, n_float, inv_n = map(np.array, (1.0, 0.0, float(n_basis), 1 / n_basis))
+    add, absolute, divide, subtract = np.add, np.abs, np.divide, np.subtract
+    fmax, multiply, irfft = np.fmax, np.multiply, _pocketfft.irfft
 
     # one error state for the whole solve: the shrink divides by |t|, which is
     # 0 in some bins (T/0, or 0/0 at lam = 0) or subnormal (T/|t| overflows),
@@ -260,20 +270,20 @@ def salsa_solve(
         for i in range(shared.n_iter):
             # u <- soft_threshold(c + d, thresh) - d, with soft_threshold's
             # ufuncs in its order, so the same bits
-            np.add(c, d, out=t)
-            np.abs(t, out=scale)
-            np.divide(thresh, scale, out=scale)
-            np.subtract(1.0, scale, out=scale)
-            np.fmax(scale, 0.0, out=scale)
-            np.multiply(scale, t, out=u)
-            np.subtract(u, d, out=u)
-            _pocketfft.irfft(u, inv_n, out=signal)
-            np.multiply(n_basis, head, out=residual)
-            np.subtract(y, residual, out=residual)
-            forward(residual, step, out=d)
-            np.add(d, u, out=c)
+            add(c, d, t)
+            absolute(t, scale)
+            divide(thresh, scale, scale)
+            subtract(one, scale, scale)
+            fmax(scale, zero, scale)
+            multiply(scale, t, u)
+            subtract(u, d, u)
+            irfft(u, inv_n, signal)
+            multiply(n_float, head, residual)
+            subtract(y, residual, residual)
+            forward(residual, step, d)
+            add(d, u, c)
             if track_cost:
-                _pocketfft.irfft(c, inv_n, out=signal)
+                irfft(c, inv_n, signal)
                 error = target - n_basis * signal[..., :m_len]
                 cost[..., i] = np.sum(error**2, axis=-1) + lam * np.sum(
                     l1_weight * np.abs(c), axis=-1

@@ -1,9 +1,9 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
 every CSV table is written by one writer, every output file by one writer
-with `newline=""`, the SALSA loop calls numpy's pocketfft kernels, every
-count and every array of samples is checked by one rule, every method is
-forecast as (history, horizon, params), and the causal forecast is one
-cached map of the raw window."""
+with `newline=""`, the SALSA loop calls numpy's pocketfft kernels on array
+operands with positional outputs, every count and every array of samples
+is checked by one rule, every method is forecast as (history, horizon,
+params), and the causal forecast is one cached map of the raw window."""
 
 import ast
 import inspect
@@ -63,6 +63,24 @@ def test_outputs_written_with_newline_empty():
     for name, node in calls:
         newline = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "newline"]
         assert newline == [""], name
+
+
+def test_salsa_loop_takes_no_python_numbers_and_no_out_keyword():
+    # numpy converts a Python number operand again on every call and parses
+    # out= as a keyword: the loop builds its operands once per solve as
+    # arrays and passes each output positionally. The cost trace is exempt.
+    tree = ast.parse(inspect.getsource(sigcast.salsa.salsa_solve))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    traced = [node for node in loop.body if isinstance(node, ast.If)]
+    assert [ast.unparse(node.test) for node in traced] == ["track_cost"]
+    calls = [node for statement in loop.body if statement not in traced
+             for node in ast.walk(statement) if isinstance(node, ast.Call)]
+    assert calls
+    for call in calls:
+        operands = [node for arg in call.args for node in ast.walk(arg)]
+        assert not [node for node in operands if isinstance(node, ast.Constant)
+                    and isinstance(node.value, (int, float, complex))], ast.unparse(call)
+        assert "out" not in [kw.arg for kw in call.keywords], ast.unparse(call)
 
 
 def test_one_count_rule():

@@ -204,6 +204,16 @@ def complex_prefix_solve(masked, mask, params, track_cost=True):
     return c, cost
 
 
+def float_or_column(values, shape):
+    """The rows' values reshaped to `shape`, or one Python number when every row shares it.
+
+    This is `_column` as it was before the loop took only arrays; the
+    bitwise reference loops keep it, so they also pin that the solver's 0-d
+    operands give the bits of Python numbers.
+    """
+    return values[0] if len(set(values)) == 1 else np.array(values).reshape(shape)
+
+
 def _reference_rfft_solve(masked, mask, params, track_cost=True):
     """The half-spectrum SALSA loop through the public np.fft.rfft and irfft.
 
@@ -221,9 +231,9 @@ def _reference_rfft_solve(masked, mask, params, track_cost=True):
     l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
     l1_weight[0] = 1.0
     column = y.shape[:-1] + (1,)
-    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], column)
-    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], column)
-    lam = _column([p.lam for p in rows], y.shape[:-1])
+    thresh = float_or_column([p.threshold_scale * p.lam / p.mu for p in rows], column)
+    step = float_or_column([1.0 / (p.mu + p.p_norm) for p in rows], column)
+    lam = float_or_column([p.lam for p in rows], y.shape[:-1])
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
@@ -259,9 +269,10 @@ def _allocating_solve(masked, mask, params, track_cost=True):
     d = np.zeros_like(c)
     l1_weight = np.where(np.arange(c.shape[-1]) < n_basis - n_basis // 2, 2.0, 1.0)
     l1_weight[0] = 1.0
-    thresh = _column([p.threshold_scale * p.lam / p.mu for p in rows], y.shape[:-1] + (1,))
-    step = _column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
-    lam = _column([p.lam for p in rows], y.shape[:-1])
+    column = y.shape[:-1] + (1,)
+    thresh = float_or_column([p.threshold_scale * p.lam / p.mu for p in rows], column)
+    step = float_or_column([1.0 / (p.mu + p.p_norm) for p in rows], y.shape[:-1])
+    lam = float_or_column([p.lam for p in rows], y.shape[:-1])
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
@@ -398,12 +409,34 @@ def test_kernel_solve_matches_np_fft_loop_bitwise(inputs, track_cost):
 @example(inputs=(np.arange(12.0) * -3e-320, ObservationMask(10, 12),
                  SalsaParams(lam=2.0, n_basis=16, n_iter=30)),
          track_cost=False)
+# a threshold column with a 0-d step (rows share mu, not lam), a 0-d threshold
+# with a step column (0.5 * lam / mu is 1.0 on both rows, mu differs), and a
+# stack of no rows, whose columns have shape (0, 1) and (0,)
+@example(inputs=(np.sin(np.arange(36.0)).reshape(3, 12), ObservationMask(9, 12),
+                 [SalsaParams(mu=0.6, lam=lam, n_basis=20, n_iter=30) for lam in (0.0, 1.0, 3.0)]),
+         track_cost=True)
+@example(inputs=(np.cos(np.arange(24.0)).reshape(2, 12), ObservationMask(10, 12),
+                 [SalsaParams(mu=mu, lam=lam, n_basis=17, n_iter=30)
+                  for mu, lam in [(0.5, 1.0), (1.0, 2.0)]]),
+         track_cost=True)
+@example(inputs=(np.zeros((0, 12)), ObservationMask(9, 12), SalsaParams(n_basis=16, n_iter=30)),
+         track_cost=True)
 def test_buffered_loop_matches_allocating_loop_bitwise(inputs, track_cost):
     masked, mask, params = inputs
     state = salsa_solve(masked, mask, params, track_cost)
     c, cost = _allocating_solve(masked, mask, params, track_cost)
     assert np.array_equal(bits(state.c), bits(c))
     assert np.array_equal(bits(state.cost_history), bits(cost))
+
+
+def test_column_is_an_array_every_time():
+    # the loop's operands are arrays: 0-d for a value every row shares
+    shared = _column([0.25, 0.25, 0.25], (3, 1))
+    assert isinstance(shared, np.ndarray) and shared.shape == () and shared == 0.25
+    distinct = _column([0.25, 0.5, 1.0], (3, 1))
+    assert distinct.shape == (3, 1)
+    assert np.array_equal(distinct[:, 0], [0.25, 0.5, 1.0])
+    assert _column([], (0, 1)).shape == (0, 1)
 
 
 @pytest.mark.parametrize("n_basis", [1, 2, 7, 8, 199, 200])
