@@ -86,10 +86,7 @@ class ObservationMask:
 
     def __post_init__(self):
         check_count("n_observed", self.n_observed)
-        if self.n_observed > self.total_len:
-            raise ValueError(
-                f"n_observed must lie in [1, {self.total_len}], got {self.n_observed}"
-            )
+        check_count("total_len", self.total_len, low=self.n_observed)
 
     @classmethod
     def prefix(cls, n_observed: int, total_len: int) -> "ObservationMask":
@@ -113,6 +110,8 @@ def synthesize(c, out_len: int) -> np.ndarray:
     signals. Requires out_len <= c.shape[-1].
     """
     c = np.asarray(c, dtype=complex)
+    if c.ndim == 0:
+        raise ValueError("c must have a last axis, got a 0-d array")
     n_basis = c.shape[-1]
     check_count("out_len", out_len)
     if out_len > n_basis:
@@ -127,6 +126,8 @@ def adjoint(y, n_basis: int) -> np.ndarray:
     Requires y.shape[-1] <= n_basis.
     """
     y = np.asarray(y, dtype=complex)
+    if y.ndim == 0:
+        raise ValueError("y must have a last axis, got a 0-d array")
     check_count("n_basis", n_basis)
     check_count("signal length", y.shape[-1])
     if y.shape[-1] > n_basis:
@@ -202,9 +203,9 @@ def salsa_solve(
         d <- A_k^H(y - A_k u) / (mu + p_norm)
         c <- d + u
 
-    A real y keeps every iterate Hermitian, so the loop works on the N//2+1
-    bins of rfft and irfft; the returned c is the full Hermitian spectrum.
-    A complex `masked` with a nonzero imaginary part is refused.
+    A real y keeps every iterate Hermitian (bin N - n conjugates bin n), so
+    the loop and the returned c hold bins 0..N//2, shape (..., N//2+1). A
+    complex `masked` with a nonzero imaginary part is refused.
 
     With track_cost, each row's ||masked - A c||_2^2 + lam * sum|c| is
     recorded after every iteration, shape (..., n_iter), with the unobserved
@@ -222,20 +223,20 @@ def salsa_solve(
         # the FFT zero-pads the observed prefix, so the unobserved samples
         # never enter the iteration; the cost trace counts them as zeros. Its
         # l1 term counts bins 1..N-1-N//2 twice, for their mirrors.
-        target = np.concatenate([y[..., :k], np.zeros_like(y[..., k:])], axis=-1)
+        target = np.where(np.arange(m_len) < k, y, 0.0)
         l1_weight = np.where(np.arange(n_basis // 2 + 1) < n_basis - n_basis // 2, 2.0, 1.0)
         l1_weight[0] = 1.0
         lam = _column([p.lam for p in rows], y.shape[:-1])
     y = y[..., :k]
 
-    # bins 0..N//2 of each Hermitian iterate. The transforms call the
-    # pocketfft kernels that numpy's rfft(x, n=N) and irfft(u, N) end in, with
-    # outputs allocated once: the same bits without the wrapper's argument
-    # handling on every call. The inverse takes irfft's norm factor 1/N; the
-    # forward one takes each row's step in place of a product on its output.
-    # pocketfft multiplies every real and imaginary part by it, which can
-    # differ from numpy's complex-by-real product only in the sign of a zero
-    # part, and the tests pin that c and the cost trace keep the product's bits.
+    # the transforms call the pocketfft kernels that numpy's rfft(x, n=N) and
+    # irfft(u, N, norm="forward") end in, with outputs allocated once: the
+    # same bits without the wrapper's argument handling on every call. The
+    # inverse takes norm factor 1, so its head is A_k u; the forward one takes
+    # each row's step in place of a product on its output. pocketfft
+    # multiplies every real and imaginary part by it, which can differ from
+    # numpy's complex-by-real product only in the sign of a zero part, and the
+    # tests pin that c and the cost trace keep the product's bits.
     forward = _pocketfft.rfft_n_odd if n_basis % 2 else _pocketfft.rfft_n_even
     half = y.shape[:-1] + (n_basis // 2 + 1,)
     signal = np.empty(y.shape[:-1] + (n_basis,))
@@ -243,7 +244,7 @@ def salsa_solve(
     c = forward(y, 1, out=np.empty(half, dtype=complex))
     d = np.zeros_like(c)
     # work buffers, overwritten every iteration: t = c + d, the magnitude |t|
-    # that becomes the shrink's scale, u, and the residual y - N * head; the
+    # that becomes the shrink's scale, u, and the residual y - head; the
     # forward kernel writes each new d over the last, which u has consumed
     t, u, scale, residual = np.empty_like(c), np.empty_like(c), np.empty(half), np.empty_like(y)
     # per row: the threshold is a column against the (..., N//2+1) iterates,
@@ -259,7 +260,7 @@ def salsa_solve(
     # and computes in float64 with either, so the bits are the same. The
     # ufuncs and kernels are local names and take their outputs
     # positionally, which numpy parses faster than out=.
-    one, zero, n_float, inv_n = map(np.array, (1.0, 0.0, float(n_basis), 1 / n_basis))
+    one, zero = np.array(1.0), np.array(0.0)
     add, absolute, divide, subtract = np.add, np.abs, np.divide, np.subtract
     fmax, multiply, irfft = np.fmax, np.multiply, _pocketfft.irfft
 
@@ -277,20 +278,16 @@ def salsa_solve(
             fmax(scale, zero, scale)
             multiply(scale, t, u)
             subtract(u, d, u)
-            irfft(u, inv_n, signal)
-            multiply(n_float, head, residual)
-            subtract(y, residual, residual)
+            irfft(u, one, signal)
+            subtract(y, head, residual)
             forward(residual, step, d)
             add(d, u, c)
             if track_cost:
-                irfft(c, inv_n, signal)
-                error = target - n_basis * signal[..., :m_len]
+                irfft(c, one, signal)
+                error = target - signal[..., :m_len]
                 cost[..., i] = np.sum(error**2, axis=-1) + lam * np.sum(
                     l1_weight * np.abs(c), axis=-1
                 )
-
-    # the full spectrum: bins N//2+1..N-1 conjugate bins N-1-N//2..1
-    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
     return SalsaState(c=c, cost_history=cost)
 
 
@@ -304,16 +301,18 @@ def salsa_forecast(
 
     Masks `horizon` samples after each history, runs :func:`salsa_solve`
     (the iterates do not depend on its cost trace, so it is off by default)
-    and returns the real part of the synthesized masked samples, shaped
-    (horizon,) or (B, horizon); row i equals the call on row i alone.
-    `params` is one SalsaParams or one per row, as in :func:`salsa_solve`,
-    which checks the history against them (:meth:`SalsaParams.check_window`).
+    and returns samples K..K+horizon-1 of the unnormalized inverse real FFT
+    of its half spectrum, shaped (horizon,) or (B, horizon); row i equals
+    the call on row i alone. `params` is one SalsaParams or one per row, as
+    in :func:`salsa_solve`, which checks the history against them
+    (:meth:`SalsaParams.check_window`).
     """
     hist = check_samples("history", history)
     check_count("horizon", horizon)
     k = hist.shape[-1]
-    m_len = k + horizon
+    # params are read once, so a one-shot iterable works; the solve takes the
+    # rows, or the shared params for a stack of no rows
+    shared, rows = _per_row(params, hist[..., 0].size)
     masked = np.concatenate([hist, np.zeros(hist.shape[:-1] + (horizon,))], axis=-1)
-    mask = ObservationMask.prefix(k, m_len)
-    state = salsa_solve(masked, mask, params, track_cost=track_cost)
-    return np.real(synthesize(state.c, m_len))[..., k:]
+    state = salsa_solve(masked, ObservationMask.prefix(k, k + horizon), rows or shared, track_cost)
+    return np.fft.irfft(state.c, shared.n_basis, norm="forward")[..., k : k + horizon]

@@ -1,7 +1,8 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
 every CSV table is written by one writer, every output file by one writer
 with `newline=""`, the SALSA loop calls numpy's pocketfft kernels on array
-operands with positional outputs, every count and every array of samples
+operands with positional outputs and works on the half spectrum from the
+solve to the forecast, every count and every array of samples
 is checked by one rule, every method is forecast as (history, horizon,
 params), and the causal forecast is one cached map of the raw window."""
 
@@ -115,3 +116,18 @@ def test_causal_forecast_is_one_map_of_the_raw_window():
     # or a row-block loop put back into the forecast fails here
     assert "moving_average" not in inspect.getsource(sigcast.causal.causal_forecast)
     assert not hasattr(sigcast.causal, "_ROW_BLOCK")
+
+
+def test_salsa_is_half_spectrum_from_solve_to_forecast():
+    # the inverse kernel takes norm factor 1, so the residual is y - head in
+    # one call: 11 calls per iteration outside the cost trace. The solve
+    # returns bins 0..N//2, and the forecast synthesizes from them directly.
+    tree = ast.parse(inspect.getsource(sigcast.salsa.salsa_solve))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    calls = [node for statement in loop.body if not isinstance(statement, ast.If)
+             for node in ast.walk(statement) if isinstance(node, ast.Call)]
+    assert len(calls) == 11, [ast.unparse(call) for call in calls]
+    source = inspect.getsource(sigcast.salsa.salsa_solve)
+    assert "np.conj" not in source and "np.concatenate" not in source
+    forecast = ast.parse(inspect.getsource(sigcast.salsa.salsa_forecast))
+    assert "synthesize" not in {node.id for node in ast.walk(forecast) if isinstance(node, ast.Name)}

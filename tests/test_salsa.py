@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,6 +65,16 @@ class TestSynthesize:
     def test_rejects_out_len_beyond_basis(self):
         with pytest.raises(ValueError):
             synthesize(np.zeros(8), 9)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: synthesize(3.0, 1), "c", id="synthesize"),
+    pytest.param(lambda: adjoint(5.0, 8), "y", id="adjoint"),
+])
+def test_full_spectrum_operators_refuse_0d_input(call, name):
+    # both work along the last axis, which a 0-d input does not have
+    with pytest.raises(ValueError, match=f"^{name} must have a last axis"):
+        call()
 
 
 class TestAdjoint:
@@ -214,11 +224,40 @@ def float_or_column(values, shape):
     return values[0] if len(set(values)) == 1 else np.array(values).reshape(shape)
 
 
+def hermitian(c, n_basis):
+    """The full length-N spectrum whose bins 0..N//2 are c: bins N//2+1..N-1
+    conjugate bins N-1-N//2..1, as salsa_solve rebuilt it before it returned
+    the half spectrum."""
+    return np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
+
+
+def _full_spectrum_forecast(history, horizon, params):
+    """salsa_forecast as it was before the half spectrum ran from the solve to
+    the forecast: the loop's inverse takes irfft's norm factor 1/N and scales
+    the head by N, the full Hermitian spectrum is rebuilt from bins 0..N//2,
+    and the forecast is the real part of its complex synthesis."""
+    hist = np.asarray(history, dtype=float)
+    k = hist.shape[-1]
+    shared, rows = _per_row(params, hist[..., 0].size)
+    n_basis = shared.n_basis
+    thresh = float_or_column([p.threshold_scale * p.lam / p.mu for p in rows],
+                             hist.shape[:-1] + (1,))
+    step = float_or_column([1.0 / (p.mu + p.p_norm) for p in rows], hist.shape[:-1] + (1,))
+    c = np.fft.rfft(hist, n=n_basis)
+    d = np.zeros_like(c)
+    for _ in range(shared.n_iter):
+        u = soft_threshold(c + d, thresh) - d
+        d = step * np.fft.rfft(hist - n_basis * np.fft.irfft(u, n_basis)[..., :k], n=n_basis)
+        c = d + u
+    return np.real(synthesize(hermitian(c, n_basis), k + horizon))[..., k:]
+
+
 def _reference_rfft_solve(masked, mask, params, track_cost=True):
     """The half-spectrum SALSA loop through the public np.fft.rfft and irfft.
 
     This is salsa_solve as it was before its loop called the pocketfft
-    kernels directly, returning (c, cost_history) with c the full spectrum.
+    kernels directly, with the inverse at norm factor 1 (norm="forward"),
+    returning (c, cost_history) with c bins 0..N//2.
     """
     y = np.asarray(masked, dtype=float)
     k, m_len = mask.n_observed, mask.total_len
@@ -237,14 +276,13 @@ def _reference_rfft_solve(masked, mask, params, track_cost=True):
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
-        d = step * np.fft.rfft(y - n_basis * np.fft.irfft(u, n_basis)[..., :k], n=n_basis)
+        d = step * np.fft.rfft(y - np.fft.irfft(u, n_basis, norm="forward")[..., :k], n=n_basis)
         c = d + u
         if track_cost:
-            residual = target - n_basis * np.fft.irfft(c, n_basis)[..., :m_len]
+            residual = target - np.fft.irfft(c, n_basis, norm="forward")[..., :m_len]
             cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
                 l1_weight * np.abs(c), axis=-1
             )
-    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
     return c, cost
 
 
@@ -253,7 +291,8 @@ def _allocating_solve(masked, mask, params, track_cost=True):
 
     This is salsa_solve as it was before its loop wrote into work buffers:
     each iteration calls soft_threshold, with its check, and allocates the
-    update's temporaries. Returns (c, cost_history) with c the full spectrum.
+    update's temporaries. The inverse takes norm factor 1. Returns
+    (c, cost_history) with c bins 0..N//2.
     """
     kernels = sigcast.salsa._pocketfft
     y = np.asarray(masked, dtype=float)
@@ -276,16 +315,15 @@ def _allocating_solve(masked, mask, params, track_cost=True):
     cost = np.empty(y.shape[:-1] + (shared.n_iter if track_cost else 0,))
     for i in range(shared.n_iter):
         u = soft_threshold(c + d, thresh) - d
-        kernels.irfft(u, 1 / n_basis, out=signal)
-        d = forward(y - n_basis * signal[..., :k], step, out=spectrum)
+        kernels.irfft(u, 1.0, out=signal)
+        d = forward(y - signal[..., :k], step, out=spectrum)
         c = d + u
         if track_cost:
-            kernels.irfft(c, 1 / n_basis, out=signal)
-            residual = target - n_basis * signal[..., :m_len]
+            kernels.irfft(c, 1.0, out=signal)
+            residual = target - signal[..., :m_len]
             cost[..., i] = np.sum(residual**2, axis=-1) + lam * np.sum(
                 l1_weight * np.abs(c), axis=-1
             )
-    c = np.concatenate([c, np.conj(c[..., 1 : n_basis - n_basis // 2][..., ::-1])], axis=-1)
     return c, cost
 
 
@@ -298,7 +336,7 @@ class TestObservationMask:
     @pytest.mark.parametrize("n_observed", [0, 6])
     def test_observed_prefix_within_signal(self, n_observed):
         # at least one sample known: with none the solve would return all zeros
-        message = "n_observed must be >= 1" if n_observed < 1 else "n_observed must lie in"
+        message = "n_observed must be >= 1" if n_observed < 1 else "total_len must be >= 6, got 5"
         with pytest.raises(ValueError, match=message):
             ObservationMask.prefix(n_observed, 5)
 
@@ -355,18 +393,50 @@ def test_half_spectrum_solve_matches_complex_loop(inputs, track_cost):
     masked, mask, params = inputs
     state = salsa_solve(masked, mask, params, track_cost)
     c, cost = complex_prefix_solve(masked, mask, params, track_cost)
-    n_iter = _per_row(params, masked[..., 0].size)[0].n_iter
+    shared = _per_row(params, masked[..., 0].size)[0]
     assert state.cost_history.shape == cost.shape == (
-        masked.shape[:-1] + ((n_iter,) if track_cost else (0,))
+        masked.shape[:-1] + ((shared.n_iter,) if track_cost else (0,))
     )
     # rtol 1e-9, with a floor of 1e-9 times the row's squared observed data
     # norm, the cost of c = 0, for costs that a small lam lets fall near 0
     scale = np.sum(masked[..., : mask.n_observed] ** 2, axis=-1, keepdims=True)
     assert np.all(np.abs(state.cost_history - cost) <= 1e-9 * (np.abs(cost) + scale))
-    # norm-relative 1e-9 per row, with the observed data's norm as a floor
+    # bins 0..N//2 of the complex loop's c, norm-relative 1e-9 per row, with
+    # the observed data's norm as a floor
+    c = c[..., : shared.n_basis // 2 + 1]
+    assert state.c.shape == c.shape
     err = np.linalg.norm(state.c - c, axis=-1)
     ref = np.linalg.norm(c, axis=-1) + np.sqrt(scale[..., 0])
     assert np.all(err <= 1e-9 * ref)
+
+
+# odd and even N, N == M, a stack of no rows, and per-row params passed as a
+# generator, which salsa_forecast reads once for the solve and for N
+@settings(max_examples=100, deadline=None)
+@given(inputs=solve_inputs(), generator=st.booleans())
+@example(inputs=(np.sin(np.arange(24.0)).reshape(2, 12), ObservationMask(9, 12),
+                 SalsaParams(n_basis=17, n_iter=30)), generator=False)
+@example(inputs=(80 + np.cos(np.arange(12.0)), ObservationMask(9, 12),
+                 SalsaParams(n_basis=16, n_iter=30)), generator=False)
+@example(inputs=(np.arange(12.0), ObservationMask(10, 12), SalsaParams(n_basis=12, n_iter=30)),
+         generator=False)
+@example(inputs=(np.zeros((0, 12)), ObservationMask(9, 12), SalsaParams(n_basis=16, n_iter=30)),
+         generator=False)
+@example(inputs=(np.sin(np.arange(36.0)).reshape(3, 12), ObservationMask(9, 12),
+                 [SalsaParams(mu=mu, n_basis=19, n_iter=30) for mu in (0.1, 0.6, 2.0)]),
+         generator=True)
+def test_forecast_matches_full_spectrum_oracle(inputs, generator):
+    masked, mask, params = inputs
+    assume(mask.n_observed < mask.total_len)
+    history, horizon = masked[..., : mask.n_observed], mask.total_len - mask.n_observed
+    per_row = isinstance(params, list)
+    forecast = salsa_forecast(history, horizon,
+                              (p for p in params) if generator and per_row else params)
+    oracle = _full_spectrum_forecast(history, horizon, params)
+    assert forecast.shape == oracle.shape == history.shape[:-1] + (horizon,)
+    # norm-relative 1e-9 per row, with the observed data's norm as a floor
+    err = np.linalg.norm(forecast - oracle, axis=-1)
+    assert np.all(err <= 1e-9 * (np.linalg.norm(oracle, axis=-1) + np.linalg.norm(history, axis=-1)))
 
 
 # the kernel's norm factor and numpy's complex-by-real product could differ
@@ -455,8 +525,8 @@ def test_pocketfft_kernels_match_np_fft_bitwise(n_basis):
         half = shape + (n_basis // 2 + 1,)
         u = rng.normal(size=half) + 1j * rng.normal(size=half)
         signal = np.empty(shape + (n_basis,))
-        assert kernels.irfft(u, 1 / n_basis, out=signal) is signal
-        assert np.array_equal(bits(signal), bits(np.fft.irfft(u, n_basis)))
+        assert kernels.irfft(u, np.array(1.0), out=signal) is signal
+        assert np.array_equal(bits(signal), bits(np.fft.irfft(u, n_basis, norm="forward")))
 
 
 class TestSalsaSolve:
@@ -467,7 +537,7 @@ class TestSalsaSolve:
         mask = ObservationMask.prefix(9, 12)
         state = salsa_solve(np.zeros((0, 12)), mask, params, track_cost)
         c, cost = _reference_rfft_solve(np.zeros((0, 12)), mask, params, track_cost)
-        assert state.c.shape == c.shape == (0, 20)
+        assert state.c.shape == c.shape == (0, 11)
         assert state.cost_history.shape == cost.shape == (0, 5 if track_cost else 0)
 
     def test_zero_signal_fixed_point(self):
@@ -485,7 +555,7 @@ class TestSalsaSolve:
         signal = np.real(synthesize(c_true, n))
         params = SalsaParams(mu=0.6, lam=0.01, n_basis=n, n_iter=5000)
         state = salsa_solve(signal.astype(complex), ObservationMask.prefix(n, n), params)
-        recon = np.real(synthesize(state.c, n))
+        recon = np.real(synthesize(hermitian(state.c, n), n))
         rel = np.linalg.norm(recon - signal) / np.linalg.norm(signal)
         assert rel < 0.05
 
@@ -606,7 +676,7 @@ class TestSalsaForecast:
         params = SalsaParams(mu=0.6, lam=0.01, n_basis=n, n_iter=2000)
         masked = np.concatenate([full[:k_obs], np.zeros(h)])
         state = salsa_solve(masked, ObservationMask.prefix(k_obs, k_obs + h), params)
-        synth = synthesize(state.c, k_obs + h)
+        synth = synthesize(hermitian(state.c, n), k_obs + h)
         assert np.max(np.abs(synth.imag)) < 1e-6 * np.linalg.norm(full[:k_obs])
 
 

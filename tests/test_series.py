@@ -183,6 +183,8 @@ COUNT_SITES = [
                  id="salsa_forecast.horizon"),
     pytest.param("n_observed", 1, lambda v: ObservationMask(v, 4), 2,
                  id="ObservationMask.n_observed"),
+    pytest.param("total_len", 1, lambda v: ObservationMask(1, v), 4,
+                 id="ObservationMask.total_len"),
     pytest.param("out_len", 1, lambda v: synthesize(np.ones(8), v), 4, id="synthesize.out_len"),
     pytest.param("n_basis", 1, lambda v: adjoint(np.ones(4), v), 8, id="adjoint.n_basis"),
     pytest.param("n_harmonics", 1, lambda v: CausalParams(n_harmonics=v), 3,
