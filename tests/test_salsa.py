@@ -429,9 +429,8 @@ def test_forecast_matches_full_spectrum_oracle(inputs, generator):
     masked, mask, params = inputs
     assume(mask.n_observed < mask.total_len)
     history, horizon = masked[..., : mask.n_observed], mask.total_len - mask.n_observed
-    per_row = isinstance(params, list)
-    forecast = salsa_forecast(history, horizon,
-                              (p for p in params) if generator and per_row else params)
+    given_params = (p for p in params) if generator and isinstance(params, list) else params
+    forecast = salsa_forecast(history, horizon, given_params)
     oracle = _full_spectrum_forecast(history, horizon, params)
     assert forecast.shape == oracle.shape == history.shape[:-1] + (horizon,)
     # norm-relative 1e-9 per row, with the observed data's norm as a floor
