@@ -289,10 +289,10 @@ def causal_forecast(history, horizon: int, params: CausalParams = CausalParams()
     # a C-contiguous stack and one sum per step keep every row's rounding
     # independent of B and of the memory order, so row i equals the 1-D call
     # bit for bit
-    rows = np.ascontiguousarray(np.atleast_2d(hist))
+    rows = np.ascontiguousarray(hist)
     mean = np.mean(rows, axis=-1)
-    centred = rows - mean[:, None]
-    out = np.empty((len(rows), horizon))
+    centred = rows - mean[..., None]
+    out = np.empty(rows.shape[:-1] + (horizon,))
     for j in range(horizon):
-        out[:, j] = mean + np.sum(centred * v[j], axis=-1)
-    return out if hist.ndim == 2 else out[0]
+        out[..., j] = mean + np.sum(centred * v[j], axis=-1)
+    return out

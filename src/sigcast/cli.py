@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -57,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid_values(text: str) -> tuple[float, ...]:
-    """Comma list ("0.1,0.6") or inclusive range ("0.1:2.0:0.1")."""
+    """Comma list ("0.1,0.6") or range ("0.1:2.0:0.1"): start + i*step to 12
+    significant digits, up to stop within 1e-9 of a step and never past it."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -65,10 +67,10 @@ def _parse_grid_values(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"empty range {text!r}")
-        return tuple(round(start + i * step, 12) for i in range(count))
+        return tuple(min(float(f"{start + i * step:.12g}"), stop) for i in range(count))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 

@@ -106,14 +106,19 @@ class ExperimentResult:
     config: ExperimentConfig
     n_windows: int
     target_indices: np.ndarray
-    truth_track: np.ndarray
     tracks: dict[str, np.ndarray]
     residuals: dict[str, ResidualReport | None]
     track_stats: dict[str, SummaryStats | None]
     truth_stats: SummaryStats
     wall_time: dict[str, float]
     failures: dict[str, list[int]]
+    raw_series: np.ndarray
     smoothed_series: np.ndarray
+
+    @property
+    def truth_track(self) -> np.ndarray:
+        """The raw truth at every target index, aligned with the tracks."""
+        return self.raw_series[self.target_indices]
 
 
 # overflow in smoothing, forecasts or scores gives values that are not
@@ -171,13 +176,13 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
         config=config,
         n_windows=n_win,
         target_indices=target_idx.reshape(-1),
-        truth_track=truth_track,
         tracks=tracks,
         residuals=residuals,
         track_stats=track_stats,
         truth_stats=summary_stats(truth_track),
         wall_time=wall,
         failures=failures,
+        raw_series=series.values,
         smoothed_series=full_smoothed,
     )
 
@@ -268,17 +273,17 @@ def render_plot_csv(result: ExperimentResult) -> str:
     Columns: series index, raw truth, the smoothed series at that index,
     then one forecast-track column per method. Failed windows, and any
     other value that is not finite, leave empty cells. At a stride below
-    the horizon a series sample is the target of several windows, so each
-    distinct value of the raw and smoothed columns is formatted once.
+    the horizon a series sample is the target of several windows, so the
+    index, raw and smoothed cells are formatted once per distinct sample.
     Every cell reaches :func:`csv_text` as a string, so the table is joined
     directly.
     """
     methods = result.config.methods
-    idx = result.target_indices
-    columns = [
-        map(str, idx.tolist()),
-        float_cells(result.truth_track, repeats=True),
-        float_cells(result.smoothed_series[idx], repeats=True),
-        *(float_cells(result.tracks[m]) for m in methods),
-    ]
+    samples, where = np.unique(result.target_indices, return_inverse=True)
+    shared = np.array([
+        list(map(str, samples.tolist())),
+        float_cells(result.raw_series[samples]),
+        float_cells(result.smoothed_series[samples]),
+    ], dtype=object)[:, where]
+    columns = [*shared.tolist(), *(float_cells(result.tracks[m]) for m in methods)]
     return csv_text(["index", "raw", "smoothed", *methods], zip(*columns))

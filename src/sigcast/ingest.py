@@ -199,17 +199,9 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def float_cells(values: np.ndarray, repeats: bool = False) -> list[str]:
-    """The cells of a 1-D float array: each value's repr, "" where not finite.
-
-    With `repeats`, each distinct value is formatted once and its text
-    reused for every repeat. Values are told apart by their bits, so 0.0
-    and -0.0 keep their own text.
-    """
+def float_cells(values: np.ndarray) -> list[str]:
+    """The cells of a 1-D float array: each value's repr, "" where not finite."""
     values = np.asarray(values, dtype=np.float64)
-    if repeats:
-        keys, where = np.unique(values.view(np.int64), return_inverse=True)
-        return np.array(float_cells(keys.view(np.float64)), dtype=object)[where].tolist()
     return [repr(v) if math.isfinite(v) else "" for v in values.tolist()]
 
 

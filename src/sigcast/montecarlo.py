@@ -91,10 +91,10 @@ def generate_path(params: SimParams, rng_seed=None) -> TimeSeries:
 class SweepGrid:
     """Grid of SALSA hyperparameters to evaluate.
 
-    Built only when every cell can run: each value tuple is nonempty with no
-    value repeated, and every cell's SalsaParams is valid and fits
-    `window + horizon` samples (:meth:`SalsaParams.check_window`); anything
-    else raises ValueError.
+    Built only when every cell can run: each value list is a nonempty tuple
+    or list with no value repeated, and every cell's SalsaParams is valid
+    and fits `window + horizon` samples (:meth:`SalsaParams.check_window`);
+    anything else raises ValueError.
     """
 
     mu_values: tuple
@@ -110,7 +110,10 @@ class SweepGrid:
         for name, field, check in (("mu_values", "mu", check_real),
                                    ("lambda_values", "lam", check_real),
                                    ("n_basis_values", "n_basis", check_count)):
-            vals = tuple(getattr(self, name))
+            vals = getattr(self, name)
+            if not isinstance(vals, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, got {vals!r}")
+            vals = tuple(vals)
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
             for value in vals:
@@ -326,9 +329,8 @@ def run_sweep(
         for idx in pending:
             mu, lam, n_basis = cells[idx]
             sq_err, row_errors = zip(*itertools.islice(row_results, grid.trials))
-            # cumsum adds the per-trial errors one after another in trial order
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = float(np.cumsum(sq_err)[-1])
+            # Python floats add in trial order, without warnings (sum() compensates from 3.12)
+            *_, total = itertools.accumulate(map(float, sq_err))
             if np.isfinite(total):
                 row = SweepRow(mu, lam, n_basis, total / (grid.trials * grid.horizon), grid.trials)
             else:

@@ -223,7 +223,6 @@ def salsa_solve(
         # the FFT zero-pads the observed prefix, so the unobserved samples
         # never enter the iteration; the cost trace counts them as zeros. Its
         # l1 term counts bins 1..N-1-N//2 twice, for their mirrors.
-        target = np.where(np.arange(m_len) < k, y, 0.0)
         l1_weight = np.where(np.arange(n_basis // 2 + 1) < n_basis - n_basis // 2, 2.0, 1.0)
         l1_weight[0] = 1.0
         lam = _column([p.lam for p in rows], y.shape[:-1])
@@ -283,9 +282,10 @@ def salsa_solve(
             forward(residual, step, d)
             add(d, u, c)
             if track_cost:
+                # the error negated (head - y, then the synthesis), which squaring keeps
                 irfft(c, one, signal)
-                error = target - signal[..., :m_len]
-                cost[..., i] = np.sum(error**2, axis=-1) + lam * np.sum(
+                subtract(head, y, head)
+                cost[..., i] = np.sum(signal[..., :m_len] ** 2, axis=-1) + lam * np.sum(
                     l1_weight * np.abs(c), axis=-1
                 )
     return SalsaState(c=c, cost_history=cost)

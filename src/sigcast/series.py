@@ -105,9 +105,6 @@ class Window:
         if self.q > self.s:
             raise ValueError(f"window start {self.q} exceeds end {self.s}")
 
-    def __len__(self) -> int:
-        return self.s - self.q + 1
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -133,13 +130,12 @@ class ResidualReport:
     n_points: int
 
 
-def summary_stats(series) -> SummaryStats:
-    """Five-number summary (min, max, mean, sample std, range) of a series.
+def summary_stats(values) -> SummaryStats:
+    """Five-number summary (min, max, mean, sample std, range) of a 1-D array-like.
 
-    Accepts a :class:`TimeSeries` or any 1-D array-like. Raises on empty
-    input.
+    Raises on empty input.
     """
-    vals = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("empty input")
     lo = float(np.min(vals))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +131,22 @@ class TestForecast:
         rows = list(csv.reader((out / "forecast.csv").read_text().splitlines()))
         got = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(got, library(tone[:91], 10))
+
+    def test_json_format_writes_one_file(self, tmp_path):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, 80.0 + np.sin(np.arange(120.0) / 5))
+        out = tmp_path / "out"
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "linear",
+                   "--window", "50", "--horizon", "4", "--format", "json",
+                   "--output-dir", str(out)) == 0
+        # the parameters travel inside forecast.json, with no forecast_params.json beside it
+        assert sorted(path.name for path in out.iterdir()) == ["forecast.json"]
+        record = strict_json((out / "forecast.json").read_text())
+        assert set(record) == {"method", "window", "horizon", "params", "forecast"}
+        assert (record["method"], record["window"], record["horizon"]) == ("linear", 50, 4)
+        assert record["params"] == json.loads(json.dumps(asdict(LinearParams())))
+        history = read_csv_column(CsvSpec(path=src, column="value")).values[-50:]
+        assert record["forecast"] == linear_forecast(history, 4).tolist()
 
     @pytest.mark.parametrize(
         "column", [["--column", "Close"], ["--column", "1", "--skip-header"]],
@@ -630,9 +647,13 @@ class TestSweep:
             (("--mu-values", "inf"), "mu must be positive and finite, got inf"),
             (("--lambda-values", "inf"), "lam must be nonnegative and finite, got inf"),
             (("--n-basis-values", "60.7"), "n_basis must be an integer, got 60.7"),
+            (("--mu-values", "0.5:1.0:0"), "range step must be positive"),
+            (("--mu-values", "0.5:1.0:-0.1"), "range step must be positive"),
+            (("--mu-values", "1.0:0.5:0.1"), "empty range '1.0:0.5:0.1'"),
         ],
         ids=["n_basis_zero", "n_basis_below_window", "mu_zero", "mu_repeated", "lambda_nan",
-             "a_high_inf", "mu_inf", "lambda_inf", "n_basis_fractional"],
+             "a_high_inf", "mu_inf", "lambda_inf", "n_basis_fractional", "range_step_zero",
+             "range_step_negative", "range_empty"],
     )
     def test_invalid_grid_is_validation_error(self, tmp_path, capsys, grid, named):
         out = tmp_path / "out"
@@ -675,6 +696,14 @@ class TestSweep:
         assert strict_json((out / "sweep.json").read_text())["run"]["n_basis_values"] == [30, 40]
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["30", "40"]
+
+    def test_range_runs_no_value_past_stop(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("sweep", "--mu-values", "0.5:1.0:0.3", "--lambda-values", "1e-14:3e-14:1e-14",
+                   "--trials", "1", "--window", "40", "--horizon", "2", "--seed", "1",
+                   "--output-dir", str(out)) == 0
+        rows = [row.split(",")[:2] for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows == [[mu, lam] for lam in ("1e-14", "2e-14", "3e-14") for mu in ("0.5", "0.8")]
 
     def test_format_option_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -755,6 +784,23 @@ class TestParsing:
         for options, window in ((("--window", "50"), 50), ((), 91)):
             assert run(*args, *options) == 0
             assert json.loads((tmp_path / "forecast_params.json").read_text())["window"] == window
+
+    @pytest.mark.parametrize("text, values", [
+        ("0.5:1.0:0.3", (0.5, 0.8)),
+        ("0:1:0.6", (0.0, 0.6)),
+        ("1e-14:3e-14:1e-14", (1e-14, 2e-14, 3e-14)),
+        ("0.1:2.0:0.1", tuple(round(0.1 * i, 1) for i in range(1, 21))),
+        ("100:300:50", (100.0, 150.0, 200.0, 250.0, 300.0)),
+        ("0:1:0.4", (0.0, 0.4, 0.8)),
+        ("0.3:0.9:0.3", (0.3, 0.6, 0.9)),
+        ("2:2:1", (2.0,)),
+        ("0:0.1234567890126:0.1234567890126", (0.0, 0.1234567890126)),
+    ], ids=["past_stop", "past_stop_from_zero", "small_values", "stop_kept", "integral",
+            "step_not_dividing", "float_steps", "one_value", "stop_of_13_digits"])
+    def test_grid_range_is_inclusive_and_never_past_stop(self, text, values):
+        from sigcast.cli import _parse_grid_values
+
+        assert _parse_grid_values(text) == values
 
     def test_grid_range_syntax(self):
         from sigcast.cli import _parse_grid_values

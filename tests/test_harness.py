@@ -158,6 +158,11 @@ class TestRunExperiment:
             assert ar_result.wall_time[m] > 0.0
 
 
+def test_forecast_of_unknown_method_is_value_error():
+    with pytest.raises(ValueError, match="unknown method: 'arima'"):
+        sigcast.harness.forecast("arima", np.ones(91), 7, LinearParams())
+
+
 class TestExperimentConfig:
     def test_stride_defaults_to_horizon(self):
         assert ExperimentConfig(horizon=7).stride == 7

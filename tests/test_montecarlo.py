@@ -429,6 +429,19 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             SweepGrid(**values)
 
+    @pytest.mark.parametrize(
+        "values",
+        [dict(mu_values=0.5), dict(mu_values=(0.5,), lambda_values=1.0),
+         dict(mu_values=(0.5,), n_basis_values=200), dict(mu_values="0.5"),
+         dict(mu_values=(0.5,), lambda_values=np.array([1.0]))],
+        ids=["mu_values", "lambda_values", "n_basis_values", "string", "array"],
+    )
+    def test_value_list_not_a_tuple_or_list_rejected(self, values):
+        # a bare number is a ValueError naming its list, as callers expect, not a TypeError
+        name = list(values)[-1]
+        with pytest.raises(ValueError, match=f"{name} must be a tuple or list"):
+            SweepGrid(**values)
+
     @settings(max_examples=50, deadline=None)
     @given(
         window=st.integers(1, 12),

@@ -4,11 +4,16 @@ with `newline=""`, the SALSA loop calls numpy's pocketfft kernels on array
 operands with positional outputs and works on the half spectrum from the
 solve to the forecast, every count and every array of samples
 is checked by one rule, every method is forecast as (history, horizon,
-params), and the causal forecast is one cached map of the raw window."""
+params), the causal forecast is one cached map of the raw window, and an
+experiment result holds the raw series once."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 import sigcast
 
@@ -131,3 +136,22 @@ def test_salsa_is_half_spectrum_from_solve_to_forecast():
     assert "np.conj" not in source and "np.concatenate" not in source
     forecast = ast.parse(inspect.getsource(sigcast.salsa.salsa_forecast))
     assert "synthesize" not in {node.id for node in ast.walk(forecast) if isinstance(node, ast.Name)}
+
+
+def test_experiment_result_holds_the_raw_series_once():
+    # the plot formats each distinct sample of raw_series once; a per-window
+    # copy of the truth, or a writer that finds the repeats again by their
+    # float bits, fails here
+    fields = dataclasses.fields(sigcast.ExperimentResult)
+    assert "truth_track" not in {field.name for field in fields}
+    assert list(inspect.signature(sigcast.ingest.float_cells).parameters) == ["values"]
+    sources = [path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")]
+    assert not any("view(np.int64)" in text for text in sources)
+    series = sigcast.generate_path(sigcast.SimParams(length=40, seed=3))
+    config = sigcast.ExperimentConfig(horizon=4, window_len=21, stride=1, methods=("linear",))
+    result = sigcast.run_experiment(series, config)
+    assert result.raw_series is series.values
+    assert np.array_equal(result.truth_track, series.values[result.target_indices])
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        sigcast.render_plot_csv(result)
+    assert unique.call_count == 1

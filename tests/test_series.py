@@ -49,9 +49,6 @@ class TestTimeSeries:
 
 
 class TestWindow:
-    def test_length(self):
-        assert len(Window(3, 7)) == 5
-
     def test_rejects_reversed(self):
         with pytest.raises(ValueError):
             Window(5, 4)

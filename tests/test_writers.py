@@ -120,9 +120,9 @@ def _stats(draw):
 def results(draw):
     """An ExperimentResult with arbitrary values; track cells NaN where failed.
 
-    The truth is either arbitrary, so one index may hold several values
-    (0.0 and -0.0 among them), or a series read at the targets of
-    overlapping windows, as run_experiment lays them out.
+    The raw series is read either at arbitrary indices, which repeat and
+    come in any order, or at the targets of overlapping windows, as
+    run_experiment lays them out; its values include +-inf and -0.0.
     """
     methods = tuple(m for m in METHOD_ORDER if draw(st.booleans())) or ("linear",)
     config = ExperimentConfig(horizon=2, methods=methods)
@@ -131,18 +131,14 @@ def results(draw):
         stride = draw(st.integers(1, horizon - 1))
         window = draw(st.integers(1, 5))
         series = np.array(draw(st.lists(plot_value, min_size=window + horizon, max_size=40)))
-        smoothed = np.array(draw(st.lists(plot_value, min_size=series.size,
-                                          max_size=series.size)))
         starts = np.arange(0, series.size - window - horizon + 1, stride)
         target_indices = (starts[:, None] + window + np.arange(horizon)).reshape(-1)
-        truth_track = series[target_indices]
-        n = target_indices.size
     else:
-        n = draw(st.integers(1, 30))
-        smoothed = np.array(draw(st.lists(plot_value, min_size=1, max_size=40)))
+        series = np.array(draw(st.lists(plot_value, min_size=1, max_size=40)))
         target_indices = np.array(draw(st.lists(
-            st.integers(0, smoothed.size - 1), min_size=n, max_size=n)), dtype=np.int64)
-        truth_track = np.array(draw(st.lists(plot_value, min_size=n, max_size=n)))
+            st.integers(0, series.size - 1), min_size=1, max_size=30)), dtype=np.int64)
+    smoothed = np.array(draw(st.lists(plot_value, min_size=series.size, max_size=series.size)))
+    n = target_indices.size
     tracks, residuals, track_stats = {}, {}, {}
     for m in methods:
         cells = draw(st.lists(st.one_of(plot_value, st.just(np.nan)), min_size=n, max_size=n))
@@ -156,13 +152,13 @@ def results(draw):
         config=config,
         n_windows=n,
         target_indices=target_indices,
-        truth_track=truth_track,
         tracks=tracks,
         residuals=residuals,
         track_stats=track_stats,
         truth_stats=_stats(draw),
         wall_time={m: 0.0 for m in methods},
         failures={m: [] for m in methods},
+        raw_series=series,
         smoothed_series=smoothed,
     )
 
