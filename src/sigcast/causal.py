@@ -121,7 +121,8 @@ def sinc(u):
 
 def moving_average(values, width: int) -> np.ndarray:
     """Centered `width`-point mean along the last axis; edges use the
-    truncated window that fits. Each mean is its own window's samples summed
+    truncated window that fits, every window when the series is shorter
+    than `width`. Each mean is its own window's samples summed
     in order and divided by their count, so it depends on no other sample
     and every row and memory order rounds alike. The result is
     C-contiguous; width 1 returns a copy of the values, exactly."""
@@ -130,8 +131,6 @@ def moving_average(values, width: int) -> np.ndarray:
     if width % 2 == 0:
         raise ValueError(f"width must be odd, got {width}")
     n = vals.shape[-1]
-    if n < width:
-        raise ValueError(f"series length {n} shorter than width {width}")
     half = width // 2
     padded = np.zeros(vals.shape[:-1] + (n + 2 * half,))
     padded[..., half : half + n] = vals

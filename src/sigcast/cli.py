@@ -48,15 +48,6 @@ __all__ = ["main"]
 FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems as validation errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _parse_grid_values(text: str) -> tuple[float, ...]:
     """Comma list ("0.1,0.6") or range ("0.1:2.0:0.1"): start + i*step to 12
     significant digits, up to stop within 1e-9 of a step and never past it."""
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each parse returns a fresh namespace, so no call's options reach the next.
     """
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="sigcast",
         description="Sparse-recovery, band-limited and linear extrapolation forecasting",
     )
@@ -318,7 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error, a validation error here
+        return 0 if exc.code == 0 else 1
     except OSError as exc:
         print(f"sigcast: I/O error: {exc}", file=sys.stderr)
         return 2

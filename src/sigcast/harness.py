@@ -86,6 +86,9 @@ class ExperimentConfig:
         if self.stride is None:
             object.__setattr__(self, "stride", self.horizon)
         check_count("stride", self.stride)
+        # a string would be read as its letters
+        if not isinstance(self.methods, (tuple, list)):
+            raise ValueError(f"methods must be a tuple or list, got {self.methods!r}")
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("no methods")
@@ -165,7 +168,8 @@ def run_experiment(series: TimeSeries, config: ExperimentConfig) -> ExperimentRe
             pass
         failed = ~np.isfinite(fc).all(axis=1)
         failures[method] = np.flatnonzero(failed).tolist()
-        track = np.where(failed[:, None], np.nan, fc).reshape(n_win * horizon)
+        fc[failed] = np.nan
+        track = fc.reshape(n_win * horizon)
         wall[method] = time.perf_counter() - t0
         ok = ~np.isnan(track)
         residuals[method] = l2_residual(track[ok], truth_track[ok]) if ok.any() else None

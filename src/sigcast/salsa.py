@@ -96,10 +96,12 @@ class ObservationMask:
 
 @dataclass(frozen=True)
 class SalsaState:
-    """Final coefficient iterate c and the per-iteration cost trace."""
+    """Final coefficient iterate c (bins 0..N//2), the per-iteration cost
+    trace, and the dictionary length N that c's bins belong to."""
 
     c: np.ndarray
     cost_history: np.ndarray
+    n_basis: int
 
 
 def synthesize(c, out_len: int) -> np.ndarray:
@@ -204,8 +206,9 @@ def salsa_solve(
         c <- d + u
 
     A real y keeps every iterate Hermitian (bin N - n conjugates bin n), so
-    the loop and the returned c hold bins 0..N//2, shape (..., N//2+1). A
-    complex `masked` with a nonzero imaginary part is refused.
+    the loop and the returned c hold bins 0..N//2, shape (..., N//2+1), and
+    the state's n_basis names N. A complex `masked` with a nonzero imaginary
+    part is refused.
 
     With track_cost, each row's ||masked - A c||_2^2 + lam * sum|c| is
     recorded after every iteration, shape (..., n_iter), with the unobserved
@@ -288,7 +291,7 @@ def salsa_solve(
                 cost[..., i] = np.sum(signal[..., :m_len] ** 2, axis=-1) + lam * np.sum(
                     l1_weight * np.abs(c), axis=-1
                 )
-    return SalsaState(c=c, cost_history=cost)
+    return SalsaState(c=c, cost_history=cost, n_basis=n_basis)
 
 
 def salsa_forecast(
@@ -301,18 +304,16 @@ def salsa_forecast(
 
     Masks `horizon` samples after each history, runs :func:`salsa_solve`
     (the iterates do not depend on its cost trace, so it is off by default)
-    and returns samples K..K+horizon-1 of the unnormalized inverse real FFT
-    of its half spectrum, shaped (horizon,) or (B, horizon); row i equals
-    the call on row i alone. `params` is one SalsaParams or one per row, as
-    in :func:`salsa_solve`, which checks the history against them
+    and returns samples K..K+horizon-1 of the unnormalized length-N inverse
+    real FFT of its half spectrum, shaped (horizon,) or (B, horizon); row i
+    equals the call on row i alone. `params` is one SalsaParams or one per
+    row, as in :func:`salsa_solve`, which reads them once, so a one-shot
+    iterable works, and checks the history against them
     (:meth:`SalsaParams.check_window`).
     """
     hist = check_samples("history", history)
     check_count("horizon", horizon)
     k = hist.shape[-1]
-    # params are read once, so a one-shot iterable works; the solve takes the
-    # rows, or the shared params for a stack of no rows
-    shared, rows = _per_row(params, hist[..., 0].size)
     masked = np.concatenate([hist, np.zeros(hist.shape[:-1] + (horizon,))], axis=-1)
-    state = salsa_solve(masked, ObservationMask.prefix(k, k + horizon), rows or shared, track_cost)
-    return np.fft.irfft(state.c, shared.n_basis, norm="forward")[..., k : k + horizon]
+    state = salsa_solve(masked, ObservationMask.prefix(k, k + horizon), params, track_cost)
+    return np.fft.irfft(state.c, state.n_basis, norm="forward")[..., k : k + horizon]

@@ -168,9 +168,9 @@ class TestMovingAverage:
         with pytest.raises(ValueError, match="ma_width must be odd, got 4"):
             CausalParams(ma_width=4)
 
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            moving_average(np.zeros(3), 5)
+    def test_short_series_uses_truncated_windows(self):
+        # every window is truncated to the whole series, so each mean is the series mean
+        assert moving_average(np.array([1.0, 2.0, 3.0]), 5).tolist() == [2.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_width_one_is_exact_copy(self, order):
@@ -252,6 +252,11 @@ class TestQstar:
         want = qstar_bruteforce(z, params, t_start=1)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-12)
 
+    @pytest.mark.parametrize("z", [np.zeros((2, 3)), np.zeros(0)], ids=["2-D", "empty"])
+    def test_bad_window_rejected(self, z):
+        with pytest.raises(ValueError, match="window must be a nonempty 1-D sequence"):
+            qstar(z, SMALL)
+
 
 class TestGramMatrix:
     def test_bitwise_symmetric(self):
@@ -318,6 +323,14 @@ class TestRegularizedSolve:
         with pytest.raises(ValueError):
             regularized_solve(gram, 1.0, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("gram, b, message", [
+        (np.ones((2, 3)), np.ones(2), r"gram must be square, got shape \(2, 3\)"),
+        (np.eye(3), np.ones(2), r"rhs shape \(2,\) does not match matrix \(3, 3\)"),
+    ], ids=["non-square", "rhs-length"])
+    def test_shape_mismatch_rejected(self, gram, b, message):
+        with pytest.raises(ValueError, match=message):
+            regularized_solve(gram, 1.0, b)
+
     def test_infinite_nu_rejected(self):
         with pytest.raises(ValueError, match="nu must be positive and finite, got inf"):
             regularized_solve(np.eye(3), math.inf, np.ones(3))
@@ -349,6 +362,13 @@ class TestRegularizedSolve:
             b = rng.normal(size=gram.shape[0])
             y = regularized_solve(gram, 0.1, b)
             assert np.all(np.isfinite(y))
+
+
+class TestCausalFit:
+    def test_window_shorter_than_tail_mean_rejected(self):
+        # the tail mean averages the last 3 samples
+        with pytest.raises(ValueError, match="smoothed window must have >= 3 samples"):
+            causal_fit(np.zeros(2), SMALL)
 
 
 class TestSynthesizeCausal:

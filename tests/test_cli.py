@@ -376,6 +376,18 @@ class TestExperiment:
         assert run(*args, "--ma-width", "0") == 1
         assert run(*args, "--ma-width", "4") == 1
 
+    def test_series_shorter_than_ma_width_smoothed(self, tmp_path):
+        # without causal, --ma-width draws only the smoothed column, whose
+        # windows are all truncated to the 3 samples there are
+        src = tmp_path / "s.csv"
+        write_series_csv(src, np.array([1.0, 2.0, 3.0]))
+        out = tmp_path / "out"
+        assert run("experiment", "--input", str(src), "--column", "value", "--methods", "linear",
+                   "--window", "2", "--horizon", "1", "--output-dir", str(out)) == 0
+        rows = list(csv.reader((out / "plot_data.csv").read_text().splitlines()))
+        assert rows[0][:3] == ["index", "raw", "smoothed"]
+        assert [row[:3] for row in rows[1:]] == [["2", "3.0", "2.0"]]
+
     def test_values_that_are_not_finite_are_empty_cells(self, tmp_path):
         # finite samples near 1e307: sums and squares overflow, so the means, the
         # residuals and every causal forecast (centred at the window mean) are not

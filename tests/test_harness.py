@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,17 @@ class TestExperimentConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig(horizon=2, methods=("salsa", "arima"))
+
+    @pytest.mark.parametrize("methods", ["salsa", "causal,linear", 3, {"salsa"}],
+                             ids=["name", "comma-list", "int", "set"])
+    def test_methods_not_a_tuple_or_list_rejected(self, methods):
+        # a string is refused, not read as its letters
+        message = re.escape(f"methods must be a tuple or list, got {methods!r}")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(horizon=7, methods=methods)
+
+    def test_methods_list_accepted(self):
+        assert ExperimentConfig(horizon=7, methods=["linear", "salsa"]).methods == ("salsa", "linear")
 
     def test_methods_normalized_to_table_order(self):
         config = ExperimentConfig(horizon=2, methods=("linear", "salsa", "causal"))

@@ -4,8 +4,9 @@ with `newline=""`, the SALSA loop calls numpy's pocketfft kernels on array
 operands with positional outputs and works on the half spectrum from the
 solve to the forecast, every count and every array of samples
 is checked by one rule, every method is forecast as (history, horizon,
-params), the causal forecast is one cached map of the raw window, and an
-experiment result holds the raw series once."""
+params), the causal forecast is one cached map of the raw window, an
+experiment result holds the raw series once, `cli.main` decides every exit
+code, and the SALSA state names its N."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ from unittest import mock
 import numpy as np
 
 import sigcast
+from sigcast.cli import main
 
 LIBRARY_MODULES = ("series", "salsa", "causal", "baselines", "montecarlo", "harness", "ingest")
 
@@ -155,3 +157,23 @@ def test_experiment_result_holds_the_raw_series_once():
     with mock.patch.object(np, "unique", wraps=np.unique) as unique:
         sigcast.render_plot_csv(result)
     assert unique.call_count == 1
+
+
+def test_main_decides_every_exit_code():
+    # argparse's usage errors exit 2 and main maps them to 1; a parser
+    # subclass that decides its own exit code fails here
+    sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
+    bases = [ast.unparse(base) for text in sources.values() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.ClassDef) for base in node.bases]
+    assert not [base for base in bases if base.endswith("ArgumentParser")]
+    # a subcommand's parser errs on its own; test_cli's --format cases cover the top one
+    assert main(["simulate"]) == 1
+
+
+def test_salsa_state_names_its_n():
+    # bins 0..N//2 alone do not tell N = 2H-2 from 2H-1: the state carries N,
+    # so the forecast hands its params to the solve and reads them nowhere else
+    assert [field.name for field in dataclasses.fields(sigcast.SalsaState)] == [
+        "c", "cost_history", "n_basis"]
+    forecast = ast.parse(inspect.getsource(sigcast.salsa.salsa_forecast))
+    assert "_per_row" not in {node.id for node in ast.walk(forecast) if isinstance(node, ast.Name)}

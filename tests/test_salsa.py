@@ -411,7 +411,7 @@ def test_half_spectrum_solve_matches_complex_loop(inputs, track_cost):
 
 
 # odd and even N, N == M, a stack of no rows, and per-row params passed as a
-# generator, which salsa_forecast reads once for the solve and for N
+# generator, which the solve reads once; the forecast takes N from its state
 @settings(max_examples=100, deadline=None)
 @given(inputs=solve_inputs(), generator=st.booleans())
 @example(inputs=(np.sin(np.arange(24.0)).reshape(2, 12), ObservationMask(9, 12),
@@ -538,6 +538,14 @@ class TestSalsaSolve:
         c, cost = _reference_rfft_solve(np.zeros((0, 12)), mask, params, track_cost)
         assert state.c.shape == c.shape == (0, 11)
         assert state.cost_history.shape == cost.shape == (0, 5 if track_cost else 0)
+
+    def test_state_names_its_basis_length(self):
+        # N = 16 and N = 17 both keep bins 0..8; only n_basis tells them apart
+        masked = np.sin(np.arange(12.0))
+        mask = ObservationMask.prefix(9, 12)
+        even, odd = (salsa_solve(masked, mask, SalsaParams(n_basis=n, n_iter=5)) for n in (16, 17))
+        assert even.c.shape == odd.c.shape == (9,)
+        assert (even.n_basis, odd.n_basis) == (16, 17)
 
     def test_zero_signal_fixed_point(self):
         params = SalsaParams(n_basis=64, n_iter=30)

@@ -42,6 +42,11 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(values=np.array([]))
 
+    def test_rejects_stack(self):
+        # the forecasters take a (B, K) stack; a series is one row
+        with pytest.raises(ValueError, match=r"values must be 1-D, got shape \(2, 3\)"):
+            TimeSeries(values=np.zeros((2, 3)))
+
     def test_values_read_only(self):
         ts = TimeSeries(values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -95,6 +100,10 @@ class TestL2Residual:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             l2_residual([1.0], [1.0, 2.0])
+
+    def test_empty_errors(self):
+        with pytest.raises(ValueError, match="empty input"):
+            l2_residual([], [])
 
     # values rounded so distinct entries differ by >= 1e-6 and their squared
     # differences cannot underflow to zero
