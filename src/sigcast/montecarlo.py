@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -189,12 +188,14 @@ class SweepTable:
             there, here = json.dumps(recorded.get(name)), json.dumps(run.get(name))
             if there != here:
                 raise ValueError(f"sweep record of another run: {name} {there} there, {here} here")
-        # cells compared as JSON text, so 200.0 is not n_basis 200 nor -0.0 lambda 0.0
+        # cells and trial counts compared as JSON text, so 200.0 is not n_basis 200,
+        # -0.0 not lambda 0.0, 2.0 not trials 2, true not 1 and false not 0
         unseen = dict.fromkeys(map(json.dumps, grid.cells()), True)
+        trials = json.dumps(run["trials"])
         for cell in cells:
-            mean, trials_run, error = cell[3:]
-            done = (trials_run, error) == (grid.trials, None) and isinstance(mean, float)
-            failed = (mean, trials_run) == (None, 0) and isinstance(error, str)
+            mean, trials_run, error = cell[3], json.dumps(cell[4]), cell[5]
+            done = (trials_run, error) == (trials, None) and isinstance(mean, float)
+            failed = (mean, trials_run) == (None, "0") and isinstance(error, str)
             if not unseen.pop(json.dumps(cell[:3]), False) or not (
                 done and math.isfinite(mean) or failed
             ):
@@ -321,6 +322,9 @@ def run_sweep(
     # a fork pool starts all max_workers processes at its first submit
     workers = min(threads, len(blocks))
     parallel = workers > 1
+    if parallel:
+        # imported here, so no run without a pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapped = (pool.map if parallel else map)(_run_block, [(b, grid, sim) for b in blocks])
         # (squared error, error text) per row, in row order; a block is read

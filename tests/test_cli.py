@@ -626,11 +626,20 @@ class TestSweep:
             json.dumps(dict(record, cells=[dict(first, mu=0.5)])): cell_error,
             json.dumps(dict(record, cells=[first, second, first])): cell_error,
             json.dumps(dict(record, cells=[dict(first, trials_run=1)])): cell_error,
+            # trial counts equal to the run's by value only
+            json.dumps(dict(record, cells=[dict(first, trials_run=2.0)])): cell_error,
+            json.dumps(dict(record, cells=[dict(first, mean_residual_per_point=None,
+                                                trials_run=False, error="failed")])): cell_error,
         }
-        for bad, named in garbled.items():
+        cases = [(SWEEP, bad, named) for bad, named in garbled.items()]
+        # the same record at --trials 1, whose done cells hold the trial count 1
+        at_one = dict(record, run=dict(record["run"], trials=1))
+        cases.append(((*SWEEP[:4], "1", *SWEEP[5:]),
+                      json.dumps(dict(at_one, cells=[dict(first, trials_run=True)])), cell_error))
+        for args, bad, named in cases:
             (out / "sweep.json").write_text(bad)
             before = sweep_files(out)
-            assert run(*SWEEP, "--resume", "--output-dir", str(out)) == 1
+            assert run(*args, "--resume", "--output-dir", str(out)) == 1
             err = capsys.readouterr().err
             assert named in err
             assert "Traceback" not in err

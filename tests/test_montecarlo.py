@@ -162,8 +162,9 @@ class TestRunSweep:
         assert [len(b) for b in _blocks(rows * 5, threads=1)] == [160, 160]
 
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
-        # a fork pool starts max_workers processes at once; this fake starts none
-        import sigcast.montecarlo
+        # a fork pool starts max_workers processes at once; this fake starts none.
+        # run_sweep imports the pool from concurrent.futures only when it starts one
+        import concurrent.futures
 
         sizes = []
 
@@ -179,7 +180,7 @@ class TestRunSweep:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(sigcast.montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # 32 cells x 2 trials: 64 rows in two blocks of 32
         grid = SweepGrid(mu_values=tuple(0.1 * k for k in range(1, 33)), **FAST_GRID)
         sim = SimParams(length=43, seed=3)

@@ -6,11 +6,15 @@ solve to the forecast, every count and every array of samples
 is checked by one rule, every method is forecast as (history, horizon,
 params), the causal forecast is one cached map of the raw window, an
 experiment result holds the raw series once, `cli.main` decides every exit
-code, and the SALSA state names its N."""
+code, the SALSA state names its N, and only a sweep that starts a
+process pool loads multiprocessing."""
 
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -177,3 +181,34 @@ def test_salsa_state_names_its_n():
         "c", "cost_history", "n_basis"]
     forecast = ast.parse(inspect.getsource(sigcast.salsa.salsa_forecast))
     assert "_per_row" not in {node.id for node in ast.walk(forecast) if isinstance(node, ast.Name)}
+
+
+NO_POOL_RUN = """
+import sys
+from pathlib import Path
+
+import sigcast
+import sigcast.cli
+
+out = Path(sys.argv[1])
+cli = sigcast.cli.main
+assert cli(["simulate", "--length", "120", "--seed", "5", "--output-dir", str(out)]) == 0
+assert cli(["forecast", "--method", "salsa", "--input", str(out / "series.csv"),
+            "--column", "value", "--output-dir", str(out)]) == 0
+# 20 rows make one block, which runs in this process at any thread count
+grid = sigcast.SweepGrid(mu_values=(0.4, 0.8), trials=10, horizon=2, window=40)
+sigcast.run_sweep(grid, sigcast.SimParams(length=42, seed=3), threads=2)
+print(sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_only_a_pool_loads_multiprocessing(tmp_path):
+    # the pool's import stack costs every process about 1.5 MB of RSS; a
+    # module-level import of ProcessPoolExecutor fails here
+    src = Path(sigcast.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_POOL_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
