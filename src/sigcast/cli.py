@@ -8,7 +8,8 @@ experiment  rolling-window comparison of the enabled methods, with report
 sweep       Monte Carlo hyperparameter grid sweep (resumable)
 simulate    generate one synthetic AR path as CSV
 
-Exit codes: 0 ok, 1 validation error or failed forecast, 2 I/O error.
+Exit codes: 0 ok, 1 validation error, failed forecast or refused allocation,
+2 I/O error.
 Randomized commands print the seed they used so results can be reproduced.
 Every option default that the library also has is read from the library.
 """
@@ -20,7 +21,6 @@ import dataclasses
 import functools
 import json
 import math
-import secrets
 import sys
 from pathlib import Path
 
@@ -120,6 +120,8 @@ def _sim_params(args, length: int) -> SimParams:
     """The AR options as SimParams; a seed is drawn and printed if --seed is omitted."""
     seed = args.seed
     if seed is None:
+        import secrets  # only here: it loads hmac and base64, which no other path needs
+
         seed = secrets.randbits(32)
         print(f"seed: {seed}", file=sys.stderr)
     return SimParams(length=length, a_low=args.a_low, a_high=args.a_high,
@@ -181,7 +183,7 @@ def cmd_forecast(args) -> int:
         text = json.dumps(dict(meta, forecast=values), indent=2) + "\n"
     else:
         if args.format == "csv":
-            text = csv_text(["step", "value"], enumerate(values, 1))
+            text = csv_text(["step", "value"], (range(1, len(values) + 1), values))
         else:
             text = "\n".join(map(repr, values)) + "\n"
         write_atomic(out / "forecast_params.json", json.dumps(meta, indent=2) + "\n")
@@ -314,7 +316,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sigcast: I/O error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"sigcast: {exc}", file=sys.stderr)
         return 1
 

@@ -250,7 +250,8 @@ def render_report(result: ExperimentResult, fmt: str = "text") -> str:
         return "\n".join([meta] + lines) + "\n"
 
     if fmt == "csv":
-        return csv_text(header, rows)
+        columns = list(zip(*rows))
+        return csv_text(header, columns)
 
     if fmt == "json":
         payload = {
@@ -290,4 +291,4 @@ def render_plot_csv(result: ExperimentResult) -> str:
         float_cells(result.smoothed_series[samples]),
     ], dtype=object)[:, where]
     columns = [*shared.tolist(), *(float_cells(result.tracks[m]) for m in methods)]
-    return csv_text(["index", "raw", "smoothed", *methods], zip(*columns))
+    return csv_text(["index", "raw", "smoothed", *methods], columns)

@@ -5,8 +5,10 @@ One numeric column is pulled out of an RFC-4180-style CSV into a
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
 handled by the configured policy; a read of only the last values starts
 at the end of the file. :func:`csv_text` is the one writer of every CSV
-table sigcast produces, :func:`float_cells` formats a column of floats
-for it, and :func:`write_atomic` writes every output file.
+table sigcast produces: it takes the table column by column and joins it
+directly when every cell is a string the writer would not quote, in a
+table of two columns or more. :func:`float_cells` formats a column of
+floats for it, and :func:`write_atomic` writes every output file.
 """
 
 from __future__ import annotations
@@ -168,34 +170,36 @@ def _tail_values(spec: CsvSpec, col_idx: int, last: int) -> list[float] | None:
     return None
 
 
-def csv_text(header, rows) -> str:
-    """Every CSV table sigcast writes, as text.
+def csv_text(header, columns) -> str:
+    """Every CSV table sigcast writes, as text, from its header and columns.
 
-    Python floats become their shortest round-trip repr, None an empty
-    cell, and lines end in "\\n". String cells, such as those of
-    :func:`float_cells`, are written as they are (quoted only if they hold
-    a comma, a quote or a line feed). Pass Python scalars (``.tolist()``),
-    not numpy ones, so the repr is Python's, and each row as a sequence.
+    Each column is a sequence with one cell per row, and there is one
+    column per header cell; anything else raises ValueError. Python floats
+    become their shortest round-trip repr, None an empty cell, and lines
+    end in "\\n". String cells, such as those of :func:`float_cells`, are
+    written as they are (quoted only if they hold a comma, a quote or a
+    line break). Pass Python scalars (``.tolist()``), not numpy ones, so
+    the repr is Python's.
 
-    A table whose cells are all strings, with at least two cells in every
-    row and no comma, quote or line break inside a cell, is joined
-    directly; any other table goes through ``csv.writer``. Both give the
-    same bytes.
+    A table of at least two columns whose cells, header included, are all
+    strings without a comma, quote or line break is joined directly; any
+    other table goes through ``csv.writer``. Both give the same bytes.
     """
-    rows = [header, *rows]
-    try:
-        text = "\n".join(map(",".join, rows)) + "\n"
-    except TypeError:  # a cell that is not a string
-        pass
-    else:
-        # no cell added a separator or a character the writer would quote
-        if (min(map(len, rows)) > 1
-                and text.count(",") == sum(map(len, rows)) - len(rows)
-                and text.count("\n") == len(rows)
-                and '"' not in text and "\r" not in text):
-            return text
+    lengths = {len(column) for column in columns}
+    if len(header) != len(columns) or len(lengths) > 1:
+        raise ValueError(f"a CSV table needs one column per header cell, all of one length; "
+                         f"got {len(header)} header cells and column lengths {sorted(lengths)}")
+    if len(columns) > 1:
+        try:
+            cells = "".join(map("".join, (header, *columns)))
+        except TypeError:  # a cell that is not a string
+            pass
+        else:
+            # none of the characters the writer would quote a cell for
+            if not any(c in cells for c in ',"\r\n'):
+                return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *zip(*columns)])
     return buf.getvalue()
 
 
@@ -207,7 +211,8 @@ def float_cells(values: np.ndarray) -> list[str]:
 
 def write_csv(series: TimeSeries, path: str | Path) -> None:
     """Write index/value rows at full precision; read back with read_csv_column."""
-    write_atomic(Path(path), csv_text(["index", "value"], enumerate(series.values.tolist())))
+    write_atomic(Path(path), csv_text(["index", "value"],
+                                      (range(len(series)), series.values.tolist())))
 
 
 def write_atomic(path: Path, text: str) -> None:

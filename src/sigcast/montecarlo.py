@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -160,7 +160,9 @@ class SweepTable:
     rows: list[SweepRow]
 
     def to_csv(self) -> str:
-        return csv_text(CELL_KEYS[:5], (astuple(row)[:5] for row in self.rows))
+        columns = [[getattr(row, field.name) for row in self.rows]
+                   for field in fields(SweepRow)[:5]]
+        return csv_text(CELL_KEYS[:5], columns)
 
     def to_json(self, grid: SweepGrid, sim: SimParams) -> str:
         """The sweep's record: every field of the run that made the rows, and the rows."""

@@ -53,6 +53,14 @@ class TestSimulate:
         assert len(ts) == 10000
         assert 70.0 <= float(np.mean(ts.values)) <= 90.0
 
+    def test_unallocatable_length_is_validation_error(self, tmp_path, capsys):
+        # 10**14 float64 samples are 728 TiB, so numpy's allocation is refused at once
+        assert run("simulate", "--length", str(10**14), "--seed", "1",
+                   "--output-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sigcast: Unable to allocate 728. TiB") and "Traceback" not in err
+        assert not (tmp_path / "series.csv").exists()
+
     def test_seed_generated_and_printed_when_omitted(self, tmp_path, capsys):
         assert run("simulate", "--length", "10", "--output-dir", str(tmp_path)) == 0
         assert "seed:" in capsys.readouterr().err
@@ -71,6 +79,18 @@ class TestSimulate:
 
 
 class TestForecast:
+    @pytest.mark.parametrize("method", ["linear", "causal"])
+    def test_unallocatable_horizon_is_validation_error(self, tmp_path, capsys, method):
+        # 10**14 float64 steps are 728 TiB, so numpy's allocation is refused at once
+        src = tmp_path / "input.csv"
+        write_series_csv(src, np.linspace(0.0, 1.0, 120))
+        out = tmp_path / "out"
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", method,
+                   "--horizon", str(10**14), "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sigcast: Unable to allocate 728. TiB") and "Traceback" not in err
+        assert not list(out.glob("forecast*"))
+
     def test_constant_series_linear(self, tmp_path):
         src = tmp_path / "input.csv"
         write_series_csv(src, np.full(120, 6.5))

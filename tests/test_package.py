@@ -1,13 +1,14 @@
 """`import sigcast` publishes each library module's `__all__`, and no other list;
-every CSV table is written by one writer, every output file by one writer
-with `newline=""`, the SALSA loop calls numpy's pocketfft kernels on array
-operands with positional outputs and works on the half spectrum from the
+every CSV table is written by one writer, which takes it column by column,
+every output file by one writer with `newline=""`, the SALSA loop calls
+numpy's pocketfft kernels on array operands with positional outputs and
+works on the half spectrum from the
 solve to the forecast, every count and every array of samples
 is checked by one rule, every method is forecast as (history, horizon,
 params), the causal forecast is one cached map of the raw window, an
 experiment result holds the raw series once, `cli.main` decides every exit
-code, the SALSA state names its N, and only a sweep that starts a
-process pool loads multiprocessing."""
+code, the SALSA state names its N, only a sweep that starts a
+process pool loads multiprocessing, and only a drawn seed loads secrets."""
 
 import ast
 import dataclasses
@@ -42,6 +43,13 @@ def test_one_csv_writer():
     sources = {path.name: path.read_text() for path in Path(sigcast.__file__).parent.glob("*.py")}
     writers = {name: text.count("csv.writer(") for name, text in sources.items()}
     assert {name: n for name, n in writers.items() if n} == {"ingest.py": 1}
+    # the writer takes columns: a caller that zips or numbers rows for it fails here
+    assert list(inspect.signature(sigcast.ingest.csv_text).parameters) == ["header", "columns"]
+    calls = [node for text in sources.values() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv_text"]
+    assert len(calls) == 5
+    for call in map(ast.unparse, calls):
+        assert "zip(" not in call and "enumerate(" not in call, call
     nodes = list(ast.walk(ast.parse(sources["harness.py"])))
     imported = {alias.name for node in nodes if isinstance(node, ast.Import)
                 for alias in node.names}
@@ -202,13 +210,42 @@ print(sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules
 """
 
 
-def test_only_a_pool_loads_multiprocessing(tmp_path):
-    # the pool's import stack costs every process about 1.5 MB of RSS; a
-    # module-level import of ProcessPoolExecutor fails here
+def _fresh_run(script, *args):
+    """`script` run in a fresh interpreter that imports sigcast from this checkout."""
     src = Path(sigcast.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", NO_POOL_RUN, str(tmp_path)], env=env,
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_only_a_pool_loads_multiprocessing(tmp_path):
+    # the pool's import stack costs every process about 1.5 MB of RSS; a
+    # module-level import of ProcessPoolExecutor fails here
+    done = _fresh_run(NO_POOL_RUN, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+NO_SECRETS_RUN = """
+import sys
+from pathlib import Path
+
+import sigcast.cli
+
+out = Path(sys.argv[1])
+(out / "in.csv").write_text("value\\n" + "".join(f"{i % 7}\\n" for i in range(120)))
+assert sigcast.cli.main(["forecast", "--method", "linear", "--input", str(out / "in.csv"),
+                         "--column", "value", "--output-dir", str(out)]) == 0
+print(sorted({"secrets", "hmac"} & set(sys.modules)))
+"""
+
+
+def test_only_a_drawn_seed_loads_secrets(tmp_path, capsys):
+    # secrets loads hmac and base64, about 4 ms per process; a module-level
+    # import in the CLI fails here. simulate without --seed still draws one.
+    done = _fresh_run(NO_SECRETS_RUN, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    assert main(["simulate", "--length", "10", "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.startswith("seed: ")

@@ -5,8 +5,9 @@ cell by hand (repr of a float, "" for a missing value). The properties
 check that the writers built on `ingest.csv_text` give the same bytes,
 including for NaN (failed) track cells, +-inf, -0.0, subnormals, +-1e308
 and integral floats, and that the written files read back bit for bit.
-`csv_text` itself, which joins all-string tables without `csv.writer`, is
-checked against a plain `csv.writer` on cells that need quoting.
+`csv_text` itself, which takes a table column by column and joins
+all-string tables without `csv.writer`, is checked against a plain
+`csv.writer` over the rows of the columns, on cells that need quoting.
 """
 
 import csv
@@ -39,11 +40,11 @@ from sigcast.montecarlo import SimParams, SweepGrid, SweepRow, SweepTable, gener
 from sigcast.series import ResidualReport, SummaryStats, TimeSeries
 
 
-def _reference_csv_text(header, rows):
+def _reference_csv_text(header, columns):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
@@ -201,11 +202,9 @@ def test_plot_csv_of_stride_one_run_with_a_failed_window(monkeypatch):
 
 
 _plain_cell = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=4)
-# a comma cell in a narrow row is what a per-row comma count must catch
-_comma_cell = st.sampled_from([",", "a,b", " , "])
 # cells the writer quotes or formats
 _odd_cell = st.one_of(
-    st.sampled_from(['"', 'a"b', "\r", "\n", "a\r\nb", ",\n"]),
+    st.sampled_from([",", "a,b", " , ", '"', 'a"b', "\r", "\n", "a\r\nb", ",\n"]),
     st.sampled_from([0, -7, 0.5, float("nan"), None]),
     st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a"]), max_size=4),
     st.integers(), st.floats(),
@@ -214,52 +213,78 @@ _odd_cell = st.one_of(
 
 @st.composite
 def tables(draw):
-    """A header and rows, and whether to pass the rows as a one-shot iterator.
+    """A header and 1-4 columns of 0-5 rows, each column a tuple or a list.
 
     The cells are strings without a comma, quote or line break, with up to
-    two swapped for a cell holding a comma and two for another odd cell.
-    The rows share one width w, or have widths w - 1 and w (at least 2), or
-    0-4 with ("",) among them; the header may have no rows. Rows are tuples
-    or lists.
+    three, header cells included, swapped for a cell the writer quotes or
+    formats.
     """
-    width = draw(st.integers(2, 4))
-    row = draw(st.sampled_from([
-        st.lists(_plain_cell, min_size=width, max_size=width),
-        st.lists(_plain_cell, min_size=max(2, width - 1), max_size=width),
-        st.lists(_plain_cell, max_size=4) | st.just([""]),
-    ]))
-    table = [list(r) for r in draw(st.lists(row, min_size=1, max_size=5))]
-    for odd in draw(st.lists(_comma_cell, max_size=2)) + draw(st.lists(_odd_cell, max_size=2)):
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 5))
+    table = [draw(st.lists(_plain_cell, min_size=size, max_size=size))
+             for size in [width] + [n_rows] * width]
+    for odd in draw(st.lists(_odd_cell, max_size=3)):
         cells = draw(st.sampled_from(table))
         if cells:
             cells[draw(st.integers(0, len(cells) - 1))] = odd
-    header, *rows = table
-    rows = [draw(st.sampled_from([tuple, list]))(r) for r in rows]
-    return header, rows, draw(st.booleans())
+    header, *columns = table
+    return header, [draw(st.sampled_from([tuple, list]))(column) for column in columns]
 
 
-@pytest.mark.parametrize("header, rows", [
-    (["a", "b", "c"], [("a,b", "c")]),
-    (["a", "b"], [("a,b",)]),
-    (["a", "b"], [('"', "")]),
-    (["a", "b"], [("\r", "")]),
-    (["a", "b"], [("a\nb", "")]),
-    (["a", "b"], [("",)]),
-    (["a", "b"], [()]),
-    ([""], []),
-    (["a", "b"], [(1, 0.5), (None, "x")]),
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [["a,b"], ["c"]]),
+    (["a"], [["a,b"]]),
+    (["a", "b"], [['"'], [""]]),
+    (["a", "b"], [["\r"], [""]]),
+    (["a", "b"], [["a\nb"], [""]]),
+    (["a"], [[""]]),
+    ([], []),
+    ([""], [[]]),
+    (["a", "b"], [[1, None], [0.5, "x"]]),
+    (["a,b", "c"], [["x"], ["y"]]),
+    (['a"', "c"], [["x"], ["y"]]),
+    (["a\r", "c"], [["x"], ["y"]]),
+    (["a", "\n"], [["x"], ["y"]]),
+    (["a", 1], [["x"], ["y"]]),
+    (["a"], [["x", "y", ""]]),
+    (["a", "b"], [[], []]),
+    (("a", "b"), (("x", "y"), ["", "z"])),
+    (["step", "value"], (range(1, 3), [0.5, -0.0])),
 ], ids=["comma_in_narrow_row", "comma_in_one_cell_row", "quote", "cr", "lf",
-        "one_empty_cell", "empty_row", "one_empty_header_cell", "not_strings"])
-def test_csv_text_near_misses_match_csv_writer(header, rows):
-    assert csv_text(header, rows) == _reference_csv_text(header, rows)
+        "one_empty_cell", "empty_row", "one_empty_header_cell", "not_strings",
+        "comma_in_header", "quote_in_header", "cr_in_header", "lf_in_header",
+        "header_not_string", "one_column", "zero_rows", "tuple_and_list_columns",
+        "range_column"])
+def test_csv_text_near_misses_match_csv_writer(header, columns):
+    assert csv_text(header, columns) == _reference_csv_text(header, columns)
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [["x"], ["y", "z"]]),
+    (["a", "b"], [["x", "y"], []]),
+    (["a", "b", "c"], [["x"], ["y"]]),
+    (["a"], [["x"], ["y"]]),
+    (["a"], []),
+    ([], [["x"]]),
+], ids=["longer_second_column", "empty_second_column", "wider_header", "narrower_header",
+        "header_without_columns", "columns_without_header"])
+def test_csv_text_refuses_a_ragged_table(header, columns):
+    with pytest.raises(ValueError, match="one column per header cell"):
+        csv_text(header, columns)
 
 
 @settings(max_examples=500, deadline=None)
 @given(tables())
 def test_csv_text_matches_csv_writer(table):
-    header, rows, one_shot = table
-    expected = _reference_csv_text(header, rows)
-    assert csv_text(header, iter(rows) if one_shot else rows) == expected
+    header, columns = table
+    expected = _reference_csv_text(header, columns)
+    assert csv_text(header, columns) == expected
+    cells = [*header, *(cell for column in columns for cell in column)]
+    if len(columns) > 1 and all(isinstance(c, str) and not set(c) & set(',"\r\n')
+                                for c in cells):
+        # a table the writer would not quote is joined without it
+        with mock.patch.object(sigcast.ingest.csv, "writer", side_effect=AssertionError):
+            assert csv_text(header, columns) == expected
 
 
 @settings(max_examples=150, deadline=None)
