@@ -3,12 +3,16 @@
 One numeric column is pulled out of an RFC-4180-style CSV into a
 :class:`TimeSeries`. Ordering is taken from row order; dates are never
 parsed. Missing cells (blank, NA-like tokens, or non-finite numbers) are
-handled by the configured policy; a read of only the last values starts
-at the end of the file. :func:`csv_text` is the one writer of every CSV
-table sigcast produces: it takes the table column by column and joins it
-directly when every cell is a string the writer would not quote, in a
-table of two columns or more. :func:`float_cells` formats a column of
-floats for it, and :func:`write_atomic` writes every output file.
+handled by the configured policy. A read of only the last values starts
+at the end of the file: it parses a block's last ``last + 1`` lines, then,
+if they give too few values, the whole block, then a block four times
+larger, so rows before the lines it parses go unread.
+
+:func:`csv_text` is the one writer of every CSV table sigcast produces: it
+takes the table column by column and joins it directly when every cell is
+a string the writer would not quote, in a table of two columns or more.
+:func:`float_cells` formats a column of floats for it, and
+:func:`write_atomic` writes every output file.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import contextlib
 import csv
 import io
 import math
@@ -139,18 +144,23 @@ def _policy_values(rows, col_idx: int, policy: str) -> list[float]:
 def _tail_values(spec: CsvSpec, col_idx: int, last: int) -> list[float] | None:
     """At least `last` of the column's final values, or None when unsure.
 
-    The rows after the first line break of a block at the end of the file
-    (growing fourfold) end in the full read's values: a gap at their start
-    has nothing to fill from and is dropped. None, for a forward read, on a
-    quote (a field may span lines), a bare CR (no LF to start after), bytes
-    that are not UTF-8, malformed CSV, a row the policy refuses, or a block
-    reaching byte 0.
+    The rows after any line break of a block at the end of the file end in
+    the full read's values: a gap at their start has nothing to fill from
+    and is dropped. So the block's last ``last + 1`` lines are parsed
+    first; only if they give fewer than ``last`` values is every line after
+    its first line break parsed, and then a block four times larger. Rows
+    before the lines parsed go unread. None, for a forward read, on a quote
+    (a field may span lines), a bare CR (no LF to start after), bytes that
+    are not UTF-8, malformed CSV, or a row the policy refuses, anywhere in
+    the lines parsed, or a block reaching byte 0. The quote, CR and UTF-8
+    checks cover the whole block.
     """
     if not os.path.isfile(spec.path):
         return None  # a pipe has no end to read from, and a second open may block
     with open(spec.path, "rb") as fh:
         end = fh.seek(0, io.SEEK_END)
         size = _TAIL_BLOCK
+        parsed = 0  # how many of the file's last lines were parsed; no more, no more values
         while size < end:
             fh.seek(end - size)
             block = fh.read(size)
@@ -159,13 +169,19 @@ def _tail_values(spec: CsvSpec, col_idx: int, last: int) -> list[float] | None:
             cut = block.find(b"\n") + 1
             if cut:
                 try:
-                    text = block[cut:].decode("utf-8")
-                    values = _policy_values(csv.reader(io.StringIO(text, newline="")),
-                                            col_idx, spec.missing_policy)
+                    # without quotes or a bare CR, each piece is one row's line
+                    lines = block[cut:].decode("utf-8").split("\n")
+                    if not lines[-1]:
+                        lines.pop()  # what follows the last line break
+                    for n in (last + 1, len(lines)):
+                        if parsed < n <= len(lines):
+                            parsed = n
+                            values = _policy_values(csv.reader(lines[-n:]), col_idx,
+                                                    spec.missing_policy)
+                            if len(values) >= last:
+                                return values
                 except (ValueError, csv.Error):
                     return None
-                if len(values) >= last:
-                    return values
             size *= 4
     return None
 
@@ -217,8 +233,13 @@ def write_csv(series: TimeSeries, path: str | Path) -> None:
 
 def write_atomic(path: Path, text: str) -> None:
     """The one file writer: replace path's contents so an interrupted write
-    leaves the old file."""
+    leaves the old file, and a failed one no temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    # newline="" keeps "\n" line ends on every platform
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        # newline="" keeps "\n" line ends on every platform
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # never written, or not a file
+            tmp.unlink()
+        raise

@@ -129,6 +129,16 @@ class TestForecast:
         assert run("forecast", "--input", str(tmp_path / "nope.csv"),
                    "--method", "linear", "--output-dir", str(tmp_path)) == 2
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        write_series_csv(src, np.linspace(0.0, 1.0, 120))
+        out = tmp_path / "out"
+        (out / "forecast.txt").mkdir(parents=True)  # os.replace cannot move a file onto it
+        assert run("forecast", "--input", str(src), "--column", "value", "--method", "linear",
+                   "--output-dir", str(out)) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp"))
+
     @pytest.mark.parametrize(
         "method, library",
         [("salsa", salsa_forecast), ("causal", causal_forecast), ("linear", linear_forecast)],

@@ -268,6 +268,32 @@ class TestStreamingMatchesTwoPassReader:
         assert _outcome(read_csv_column, spec) == _outcome(_oracle_read_csv_column, spec)
 
 
+_TEMPERATURES = tuple(f"{20 + i % 9}.{i % 10}" for i in range(3000))
+
+
+def _climate_csv(tmp_path, cells):
+    """A daily-climate file of about 37 bytes a row, its 6th column `cells`;
+    a None cell is a blank line."""
+    lines = ["Product code,Station,Year,Month,Day,Maximum temperature,Days,Quality"]
+    lines += ["" if cell is None else f"IDCJAC0010,086071,{1917 + i // 365},{1 + i % 12},"
+              f"{1 + i % 28},{cell},1,Y" for i, cell in enumerate(cells)]
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+def _count_parsed_rows(monkeypatch):
+    """The number of rows of each _policy_values call from now on."""
+    counts = []
+    policy_values = sigcast.ingest._policy_values
+
+    def counting(rows, *args):
+        rows = list(rows)
+        counts.append(len(rows))
+        return policy_values(rows, *args)
+
+    monkeypatch.setattr(sigcast.ingest, "_policy_values", counting)
+    return counts
+
+
 class TestTailRead:
     """read_csv_column(spec, last) against the full forward read."""
 
@@ -298,6 +324,41 @@ class TestTailRead:
             read_csv_column(spec)
         monkeypatch.setattr(sigcast.ingest, "_TAIL_BLOCK", 64)
         assert read_csv_column(spec, 3).values.tolist() == [97.5, 98.5, 99.5]
+
+    def test_bad_cell_100_rows_from_the_end_is_not_read(self, tmp_path):
+        # the default block holds about 220 climate rows; only the last 92 are parsed
+        cells = _TEMPERATURES[:2900] + ("bogus",) + _TEMPERATURES[2901:]
+        spec = CsvSpec(path=_climate_csv(tmp_path, cells), column=6, skip_header=True)
+        with pytest.raises(ValueError, match="unparseable value 'bogus' at data row 2901"):
+            read_csv_column(spec)
+        assert read_csv_column(spec, 91).values.tolist() == list(map(float, cells[-91:]))
+
+    def test_parses_only_the_last_lines_it_needs(self, tmp_path, monkeypatch):
+        spec = CsvSpec(path=_climate_csv(tmp_path, _TEMPERATURES), column=6, skip_header=True,
+                       missing_policy="forward_fill")
+        rows = _count_parsed_rows(monkeypatch)
+        assert read_csv_column(spec, 91).values.tolist() == list(map(float, _TEMPERATURES[-91:]))
+        assert sum(rows) <= 92
+
+    @pytest.mark.parametrize("policy, gap, lines", [
+        # NA cells are dropped wherever they are; blank rows are dropped at
+        # the start of the lines parsed, and at the end of the file
+        ("drop", "NA", [-90, -60, -2]),
+        ("forward_fill", None, [-92, -91]),
+        ("forward_fill", None, [-3, -2, -1]),
+    ], ids=["drop-na", "forward_fill-leading-blank", "forward_fill-trailing-blank"])
+    def test_gaps_in_the_last_lines_parse_the_whole_block(self, tmp_path, monkeypatch,
+                                                          policy, gap, lines):
+        cells = list(_TEMPERATURES)
+        for line in lines:
+            cells[line] = gap
+        spec = CsvSpec(path=_climate_csv(tmp_path, cells), column=6, skip_header=True,
+                       missing_policy=policy)
+        full = read_csv_column(spec).values.tolist()
+        rows = _count_parsed_rows(monkeypatch)
+        assert read_csv_column(spec, 91).values.tolist() == full[-91:]
+        # the last 92 lines, then the block's (about 220), not the file's
+        assert rows[0] == 92 and 150 < rows[1] < 300 and len(rows) == 2
 
     @pytest.mark.parametrize("policy", ["drop", "forward_fill"])
     def test_every_block_size_and_last(self, tmp_path, monkeypatch, policy):

@@ -8,7 +8,8 @@ is checked by one rule, every method is forecast as (history, horizon,
 params), the causal forecast is one cached map of the raw window, an
 experiment result holds the raw series once, `cli.main` decides every exit
 code, the SALSA state names its N, only a sweep that starts a
-process pool loads multiprocessing, and only a drawn seed loads secrets."""
+process pool loads multiprocessing, only a drawn seed loads secrets, and
+no output follows numpy's AVX-512 dispatch."""
 
 import ast
 import dataclasses
@@ -249,3 +250,33 @@ def test_only_a_drawn_seed_loads_secrets(tmp_path, capsys):
     assert done.stdout == "[]\n"
     assert main(["simulate", "--length", "10", "--output-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().err.startswith("seed: ")
+
+
+DISPATCH_OUTPUTS = """
+import numpy as np
+
+from sigcast.harness import ExperimentConfig, render_plot_csv, render_report, run_experiment
+from sigcast.montecarlo import SimParams, generate_path
+from sigcast.salsa import SalsaParams, salsa_forecast
+
+# criterion 11's golden experiment, and a stack of three windows with a mu per row
+series = generate_path(SimParams(length=141, seed=20240915))
+result = run_experiment(series, ExperimentConfig(horizon=5, window_len=91, stride=5))
+stack = series.values[:91] + np.arange(3)[:, None]
+forecast = salsa_forecast(stack, 7, [SalsaParams(mu=mu) for mu in (0.3, 0.6, 1.2)])
+outputs = [render_report(result, "text"), render_plot_csv(result), forecast.tobytes().hex()]
+"""
+
+
+def test_outputs_do_not_follow_numpy_avx512_dispatch(monkeypatch):
+    # numpy ignores a feature name it does not dispatch, so on a host without
+    # AVX-512 this compares the same dispatch twice and shows nothing. With
+    # X86_V3 (AVX2) disabled too, SALSA's complex np.abs changes its bits and
+    # this fails: the golden SALSA cells are bit-exact only on AVX2 loops.
+    here = {}
+    exec(DISPATCH_OUTPUTS, here)
+    # numpy reads the variable at import, so only the fresh interpreter sees it
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4")
+    done = _fresh_run(DISPATCH_OUTPUTS + "print(repr(outputs))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(here["outputs"]) + "\n"
