@@ -23,6 +23,7 @@ from pathlib import Path
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import numpy as np
@@ -38,6 +39,9 @@ _NA_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 # bytes of the first block _tail_values reads: more than 91 rows of daily
 # climate data (about 37 B a row) or of OHLC prices (about 70 B a row)
 _TAIL_BLOCK = 8 * 1024
+
+# numbers write_atomic's temporary files; next() on a count is atomic under the GIL
+_WRITE_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -81,26 +85,32 @@ def read_csv_column(spec: CsvSpec, last: int | None = None) -> TimeSeries:
     """
     if last is not None:
         check_count("last", last)
-    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            if isinstance(spec.column, str):
-                header = next(reader, None)
-                if header is None:
-                    raise ValueError("empty file, cannot resolve header")
-                header = [h.strip() for h in header]
-                if spec.column not in header:
-                    raise ValueError(f"column {spec.column!r} not found in header {header}")
-                col_idx = header.index(spec.column)
-            else:
-                col_idx = spec.column - 1
-                if spec.skip_header:
-                    next(reader, None)
-            values = _tail_values(spec, col_idx, last) if last else None
-            if not values:
-                values = _policy_values(reader, col_idx, spec.missing_policy)
-        except csv.Error as exc:
-            raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+    values = None
+    if last and not isinstance(spec.column, str):
+        # an index column needs no header: the text reader opens only if
+        # the tail read is unsure
+        values = _tail_values(spec, spec.column - 1, last)
+    if not values:
+        with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                if isinstance(spec.column, str):
+                    header = next(reader, None)
+                    if header is None:
+                        raise ValueError("empty file, cannot resolve header")
+                    header = [h.strip() for h in header]
+                    if spec.column not in header:
+                        raise ValueError(f"column {spec.column!r} not found in header {header}")
+                    col_idx = header.index(spec.column)
+                    values = _tail_values(spec, col_idx, last) if last else None
+                else:
+                    col_idx = spec.column - 1
+                    if spec.skip_header:
+                        next(reader, None)
+                if not values:
+                    values = _policy_values(reader, col_idx, spec.missing_policy)
+            except csv.Error as exc:
+                raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
     if not values:
         raise ValueError(f"no usable rows in {spec.path}")
@@ -233,8 +243,12 @@ def write_csv(series: TimeSeries, path: str | Path) -> None:
 
 def write_atomic(path: Path, text: str) -> None:
     """The one file writer: replace path's contents so an interrupted write
-    leaves the old file, and a failed one no temporary file."""
-    tmp = path.with_name(path.name + ".tmp")
+    leaves the old file, and a failed one no temporary file.
+
+    Each call writes its own temporary file beside `path` (process id and
+    count), so concurrent writers of one path never move each other's.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_WRITE_IDS)}.tmp")
     try:
         # newline="" keeps "\n" line ends on every platform
         tmp.write_text(text, newline="")

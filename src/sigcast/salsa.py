@@ -229,7 +229,9 @@ def salsa_solve(
         l1_weight = np.where(np.arange(n_basis // 2 + 1) < n_basis - n_basis // 2, 2.0, 1.0)
         l1_weight[0] = 1.0
         lam = _column([p.lam for p in rows], y.shape[:-1])
-    y = y[..., :k]
+    # the observed samples, copied once so that the loop reads them
+    # contiguously, not as a row-strided view of the masked signal
+    y = np.ascontiguousarray(y[..., :k])
 
     # the transforms call the pocketfft kernels that numpy's rfft(x, n=N) and
     # irfft(u, N, norm="forward") end in, with outputs allocated once: the
@@ -243,12 +245,19 @@ def salsa_solve(
     half = y.shape[:-1] + (n_basis // 2 + 1,)
     signal = np.empty(y.shape[:-1] + (n_basis,))
     head = signal[..., :k]  # the observed samples of each inverse transform
-    c = forward(y, 1, out=np.empty(half, dtype=complex))
-    d = np.zeros_like(c)
-    # work buffers, overwritten every iteration: t = c + d, the magnitude |t|
-    # that becomes the shrink's scale, u, and the residual y - head; the
-    # forward kernel writes each new d over the last, which u has consumed
-    t, u, scale, residual = np.empty_like(c), np.empty_like(c), np.empty(half), np.empty_like(y)
+    # the one iterate buffer: t starts as c = A^H y and holds c + d, then the
+    # shrink and u, then c = d + u again; the forward kernel writes each new
+    # d over the last, which u has consumed
+    t = forward(y, 1, out=np.empty(half, dtype=complex))
+    d = np.zeros_like(t)
+    # work buffers, overwritten every iteration: the magnitude |t| that
+    # becomes the shrink's scale, and the residual y - head. The shrink's
+    # last step writes the scale into the real part of a complex buffer
+    # whose imaginary part stays 0, so the product multiplies complex by
+    # complex: the same s + 0j that numpy's float-to-complex cast would
+    # build on every call, in the same complex multiply loop
+    scale, residual, factor = np.empty(half), np.empty_like(y), np.zeros_like(t)
+    factor_real = factor.real
     # per row: the threshold is a column against the (..., N//2+1) iterates,
     # the step one value per row, as the forward kernel broadcasts it.
     # SalsaParams holds mu > 0 and lam >= 0, so every threshold is
@@ -273,25 +282,25 @@ def salsa_solve(
         for i in range(shared.n_iter):
             # u <- soft_threshold(c + d, thresh) - d, with soft_threshold's
             # ufuncs in its order, so the same bits
-            add(c, d, t)
+            add(t, d, t)
             absolute(t, scale)
             divide(thresh, scale, scale)
             subtract(one, scale, scale)
-            fmax(scale, zero, scale)
-            multiply(scale, t, u)
-            subtract(u, d, u)
-            irfft(u, one, signal)
+            fmax(scale, zero, factor_real)
+            multiply(factor, t, t)
+            subtract(t, d, t)
+            irfft(t, one, signal)
             subtract(y, head, residual)
             forward(residual, step, d)
-            add(d, u, c)
+            add(d, t, t)
             if track_cost:
                 # the error negated (head - y, then the synthesis), which squaring keeps
-                irfft(c, one, signal)
+                irfft(t, one, signal)
                 subtract(head, y, head)
                 cost[..., i] = np.sum(signal[..., :m_len] ** 2, axis=-1) + lam * np.sum(
-                    l1_weight * np.abs(c), axis=-1
+                    l1_weight * np.abs(t), axis=-1
                 )
-    return SalsaState(c=c, cost_history=cost, n_basis=n_basis)
+    return SalsaState(c=t, cost_history=cost, n_basis=n_basis)
 
 
 def salsa_forecast(

@@ -360,6 +360,32 @@ class TestTailRead:
         # the last 92 lines, then the block's (about 220), not the file's
         assert rows[0] == 92 and 150 < rows[1] < 300 and len(rows) == 2
 
+    @pytest.mark.parametrize("column, skip_header, opens", [
+        (6, True, 1), ("Maximum temperature", False, 2)], ids=["index", "name"])
+    def test_an_index_column_opens_the_file_once(self, tmp_path, monkeypatch,
+                                                 column, skip_header, opens):
+        # the tail read never reaches the header, so only a name needs the text reader
+        spec = CsvSpec(path=_climate_csv(tmp_path, _TEMPERATURES), column=column,
+                       skip_header=skip_header)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(sigcast.ingest, "open", counting, raising=False)
+        assert read_csv_column(spec, 91).values.tolist() == list(map(float, _TEMPERATURES[-91:]))
+        assert len(calls) == opens
+
+    def test_skipped_header_is_not_read(self, tmp_path):
+        # like any row before the lines parsed: bytes that are not UTF-8 in a
+        # skipped header go unreported, with or without skip_header
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"v\xff\n" + b"".join(b"%d.5\n" % i for i in range(3000)))
+        for skip_header in (True, False):
+            spec = CsvSpec(path=path, skip_header=skip_header)
+            assert read_csv_column(spec, 2).values.tolist() == [2998.5, 2999.5]
+
     @pytest.mark.parametrize("policy", ["drop", "forward_fill"])
     def test_every_block_size_and_last(self, tmp_path, monkeypatch, policy):
         # a block's first line is cut short wherever the block starts
@@ -417,6 +443,25 @@ class TestWriteCsv:
         write_csv(ts, path)
         back = read_csv_column(CsvSpec(path=path, column="value"))
         assert np.array_equal(back.values, ts.values)
+
+
+class TestWriteAtomic:
+    def test_interleaved_writers_of_one_path(self, tmp_path, monkeypatch):
+        # a second writer of the path runs between the first one's write and
+        # its replace; with one shared temporary name the first replace would
+        # find its file moved away
+        path = tmp_path / "forecast_params.json"
+        replace = os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", replace)
+            sigcast.ingest.write_atomic(path, "inner\n")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        sigcast.ingest.write_atomic(path, "outer\n")
+        assert path.read_text() == "outer\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCsvSpec:

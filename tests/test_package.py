@@ -102,6 +102,39 @@ def test_salsa_loop_takes_no_python_numbers_and_no_out_keyword():
         assert not [node for node in operands if isinstance(node, ast.Constant)
                     and isinstance(node.value, (int, float, complex))], ast.unparse(call)
         assert "out" not in [kw.arg for kw in call.keywords], ast.unparse(call)
+    # exactly 11 calls of names bound before the loop, on bare names bound
+    # there too: an operand such as `factor.real` or `y[..., :k]` would build
+    # a view on every iteration
+    bound = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Store) and node.lineno < loop.lineno}
+    assert len(calls) == 11, [ast.unparse(call) for call in calls]
+    for call in calls:
+        names = [call.func, *call.args]
+        assert all(isinstance(node, ast.Name) and node.id in bound for node in names), (
+            ast.unparse(call))
+        assert not call.keywords, ast.unparse(call)
+
+
+def test_salsa_loop_casts_no_input(monkeypatch):
+    # a ufunc given inputs of two dtypes casts one of them through a buffer
+    # on every call, as multiply(scale, t, u) did with its float scale
+    calls = []
+
+    def checked(ufunc):
+        def call(*args):
+            calls.append((ufunc.__name__, [np.asarray(arg).dtype for arg in args[: ufunc.nin]]))
+            return ufunc(*args)
+        return call
+
+    for name in ("add", "abs", "divide", "subtract", "fmax", "multiply"):
+        monkeypatch.setattr(np, name, checked(getattr(np, name)))
+    stack = np.sin(np.arange(36.0)).reshape(3, 12)
+    rows = [sigcast.SalsaParams(mu=mu, n_basis=20, n_iter=3) for mu in (0.1, 0.6, 2.0)]
+    for masked, params in [(stack[0], rows[0]), (stack, rows[1]), (stack, rows)]:
+        sigcast.salsa_solve(masked, sigcast.ObservationMask(9, 12), params, track_cost=False)
+    assert len(calls) == 3 * 3 * 9
+    mixed = [(name, dtypes) for name, dtypes in calls if len(set(dtypes)) > 1]
+    assert not mixed, mixed
 
 
 def test_one_count_rule():
